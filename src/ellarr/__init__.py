@@ -10,7 +10,7 @@ from .arrangement import (Arrangement, ArrangementError, Layer, LayerPoset,
                           build_poset, circuits, components_of,
                           independent_sets, is_essential, is_unimodular,
                           nbc_sets, poset_isomorphic)
-from .cohomology import (BettiTable, betti_page3, betti_tables, essentialize,
+from .cohomology import (BettiTable, betti_tables, essentialize,
                          euler_characteristic, full_model, page2_table,
                          page3_table, tensor_with_curve, verify_first_column,
                          verify_vanishing)
@@ -19,7 +19,7 @@ from .model import (BigradedDGA, ModelError, TensorModel, build_model,
 
 __all__ = [
     "Arrangement", "ArrangementError", "Layer", "LayerPoset", "BettiTable",
-    "BigradedDGA", "ModelError", "TensorModel", "betti_page3", "betti_tables",
+    "BigradedDGA", "ModelError", "TensorModel", "betti_tables",
     "build_model", "build_poset", "circuits", "components_of", "essentialize",
     "hodge_weight",
     "euler_characteristic", "full_model", "independent_sets", "is_essential",

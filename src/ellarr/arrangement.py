@@ -197,17 +197,6 @@ def fundamental_circuit(arr: Arrangement, e: int,
     return tuple(sorted(members))
 
 
-def circuit_support_coefficients(arr: Arrangement, circuit: Sequence[int]
-                                 ) -> list[Fraction]:
-    """Coefficients of the (unique up to scale) dependency on a circuit."""
-    c = sorted(circuit)
-    mat = [[arr.columns[j][i] for j in c] for i in range(arr.n)]
-    ker = exactlin.kernel_basis(mat)
-    if len(ker) != 1:
-        raise ArrangementError("%s is not a circuit" % (c,))
-    return list(ker[0])
-
-
 _FZERO = Fraction(0)
 
 

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 from .arrangement import Arrangement
 from .model import BigradedDGA, Element, TensorModel, add, scale
+from .reptheory import (LABEL_DEGREE, LABEL_WEIGHT, LABELS,
+                        conjugate_partition, schur_dimension)
 
 _ONE = Fraction(1)
 
@@ -200,11 +202,6 @@ def decreasing_forests(n: int, k: int) -> list[Forest]:
         for parents in itertools.product(*(range(v + 1, n + 1) for v in subset)):
             out.append(Forest(n, zip(subset, parents)))
     return out
-
-
-LABELS = ("1", "x", "y", "xy")
-LABEL_DEGREE = {"1": 0, "x": 1, "y": 1, "xy": 2}
-LABEL_WEIGHT = {"1": 0, "x": 1, "y": -1, "xy": 0}
 
 
 def labelled_forest_bidegree(forest: Forest, labels: dict[int, str]
@@ -546,27 +543,6 @@ def tutte_specialization(n: int, corrected: bool = True) -> list[int]:
 
 
 # ----- predicted dimension tables -------------------------------------------
-
-def schur_dimension(partition: Sequence[int], m: int) -> int:
-    """Dimension of the Schur functor on an m-dimensional space."""
-    lam = list(partition) + [0] * m
-    if len(partition) > m and any(partition[m:]):
-        return 0
-    num = 1
-    den = 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            num *= lam[i] - lam[j] + j - i
-            den *= j - i
-    return num // den
-
-
-def conjugate_partition(partition: Sequence[int]) -> tuple[int, ...]:
-    lam = [p for p in partition if p]
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > i) for i in range(max(lam)))
-
 
 def e2_weight_multiplicity(n: int, p: int, q: int, k: int,
                            reduced: bool = False) -> int:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
 import sys
 from fractions import Fraction
+from math import comb, factorial
 
 from . import arrangement as arr_mod
 from . import braid as braid_mod
@@ -44,7 +46,10 @@ def parse_input(path: str):
         raise InputError("%s: need exactly one of 'divisors', 'graph', 'braid'"
                          % path)
     if "braid" in data:
-        return braid_mod.braid_arrangement(int(data["braid"]))
+        try:
+            return braid_mod.braid_arrangement(int(data["braid"]))
+        except (TypeError, ValueError) as exc:
+            raise InputError("%s: bad braid count: %s" % (path, exc)) from exc
     if "graph" in data:
         g = data["graph"]
         try:
@@ -67,7 +72,7 @@ def parse_input(path: str):
         try:
             offsets = tuple((Fraction(a), Fraction(b))
                             for a, b in data["offsets"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError("%s: bad offsets: %s" % (path, exc)) from exc
     try:
         return Arrangement(n, tuple(divisors), offsets)
@@ -97,7 +102,17 @@ def _prepare(source):
     return source, None
 
 
-def cmd_poset(source, args) -> dict:
+def _is_braid(arr: Arrangement) -> bool:
+    """Is this the diagonal arrangement on n >= 2 coordinates?"""
+    return (arr.n >= 2
+            and arr.columns == braid_mod.braid_arrangement(arr.n).columns)
+
+
+# Every command takes (source, args, model), where model() returns the
+# input's ``cohomology.full_model``, built on first use and shared with
+# --verify.
+
+def cmd_poset(source, args, model) -> dict:
     arr, _ = _prepare(source)
     poset = arr_mod.build_poset(arr)
     return {
@@ -112,9 +127,9 @@ def cmd_poset(source, args) -> dict:
     }
 
 
-def cmd_betti(source, args) -> dict:
+def cmd_betti(source, args, model) -> dict:
     arr, _ = _prepare(source)
-    t2, t3 = _betti_tables_jobs(arr, args.jobs)
+    t2, t3 = cohomology.betti_tables(model())
     return {
         "input": print_arrangement(arr),
         "betti_page2": _table_json(t2),
@@ -125,28 +140,21 @@ def cmd_betti(source, args) -> dict:
     }
 
 
-def _betti_tables_jobs(arr: Arrangement, jobs: int):
-    return cohomology.betti_tables(arr, jobs=jobs)
-
-
-def cmd_euler(source, args) -> dict:
+def cmd_euler(source, args, model) -> dict:
     arr, _ = _prepare(source)
-    core_arr, _, _ = cohomology.essentialize(arr)
-    dga = BigradedDGA(core_arr)
-    chi_core = cohomology.page2_table(dga).euler()
-    chi = 0 if core_arr.n != arr.n else chi_core
+    chi_core = cohomology.euler_characteristic(model().core)
+    chi = 0 if model().nbars else chi_core
     return {"input": print_arrangement(arr), "euler": chi,
             "euler_essential_core": chi_core}
 
 
-def cmd_braid_table(source, args) -> dict:
+def cmd_braid_table(source, args, model) -> dict:
     arr, _ = _prepare(source)
     n = arr.n
-    if arr.columns != braid_mod.braid_arrangement(n).columns:
+    if not _is_braid(arr):
         raise InputError("braid-table needs a braid input (use --braid N)")
-    t2, t3 = _betti_tables_jobs(arr, args.jobs)
-    core = braid_mod.braid_model(n)
-    t3core = cohomology.page3_table(core)
+    t2, t3 = cohomology.betti_tables(model())
+    t3core = cohomology.page3_table(model().core)
     expected = braid_mod.expected_dims(n)
     observed_lc = {}
     for q in range(1, n - 1):
@@ -167,29 +175,20 @@ def cmd_braid_table(source, args) -> dict:
                      for k, d in expected.items()},
         "observed_e3_1q_reduced": observed_lc,
         "cocycle_lower_bound_2_binom_q_fact": {
-            str(q): 2 * _comb(n, q + 2) * _factorial(q)
+            str(q): 2 * comb(n, q + 2) * factorial(q)
             for q in range(1, n - 1)},
     }
 
 
-def _comb(n, k):
-    from math import comb
-    return comb(n, k)
-
-
-def _factorial(k):
-    from math import factorial
-    return factorial(k)
-
-
-def cmd_rep_decompose(source, args) -> dict:
+def cmd_rep_decompose(source, args, model) -> dict:
     arr, _ = _prepare(source)
     n = arr.n
-    if arr.columns != braid_mod.braid_arrangement(n).columns:
+    if not _is_braid(arr):
         raise InputError("rep-decompose needs a braid input (use --braid N)")
     if n > args.rep_bound:
         raise InputError("n=%d exceeds --rep-bound %d" % (n, args.rep_bound))
-    t2, _ = _betti_tables_jobs(arr, args.jobs)
+    t2 = cohomology.tensor_with_curve(cohomology.page2_table(model().core),
+                                      model().nbars)
     reps = {}
     for (p, q) in sorted(t2.entries):
         rows = reptheory.bidegree_decomposition(n, p, q, args.rep_bound)
@@ -198,7 +197,7 @@ def cmd_rep_decompose(source, args) -> dict:
     return {"input": print_arrangement(arr), "representations": reps}
 
 
-def cmd_formality(source, args) -> dict:
+def cmd_formality(source, args, model) -> dict:
     if isinstance(source, formality.SimpleGraph):
         graph = source
     else:
@@ -233,7 +232,7 @@ def _graph_from_arrangement(arr: Arrangement) -> formality.SimpleGraph:
     return formality.SimpleGraph(arr.n, tuple(edges))
 
 
-def cmd_verify_all(source, args) -> dict:
+def cmd_verify_all(source, args, model) -> dict:
     """Invariant suite for the given input; any failure exits nonzero."""
     arr, graph = _prepare(source)
     checks = []
@@ -241,8 +240,7 @@ def cmd_verify_all(source, args) -> dict:
     def check(name, ok, detail=""):
         checks.append({"check": name, "ok": bool(ok), "detail": str(detail)})
 
-    core_arr, _, nbars = cohomology.essentialize(arr)
-    dga = BigradedDGA(core_arr)
+    dga, nbars = model().core, model().nbars
 
     report = dga.verify_model_dimension()
     check("dimension-audit", report["matches_4_pow_corank"], report)
@@ -255,7 +253,7 @@ def cmd_verify_all(source, args) -> dict:
     check("d-squared-zero", dd_ok)
 
     circ_ok = True
-    for circuit in arr_mod.circuits(core_arr):
+    for circuit in arr_mod.circuits(dga.arrangement):
         rank = len(circuit) - 1
         for lid in _circuit_components(dga, circuit):
             total = {}
@@ -293,14 +291,14 @@ def cmd_verify_all(source, args) -> dict:
 
     t2c = cohomology.page2_table(dga)
     t3c = cohomology.page3_table(dga)
-    t2 = cohomology.tensor_with_curve(t2c, nbars) if nbars else t2c
-    t3 = cohomology.tensor_with_curve(t3c, nbars) if nbars else t3c
+    t2 = cohomology.tensor_with_curve(t2c, nbars)
+    t3 = cohomology.tensor_with_curve(t3c, nbars)
     van = cohomology.verify_vanishing(arr, t3, t2c, t3c)
     check("vanishing-and-triangles", van["ok"], van["violations"])
     check("euler-consistency", t2.euler() == t3.euler(),
           "%s vs %s" % (t2.euler(), t3.euler()))
 
-    if arr.size and arr.columns == braid_mod.braid_arrangement(arr.n).columns:
+    if _is_braid(arr):
         n = arr.n
         fc = cohomology.verify_first_column(dga)
         check("first-column-injective", fc["ok"], fc["failures"])
@@ -312,7 +310,7 @@ def cmd_verify_all(source, args) -> dict:
         lc_ok = True
         for q in range(1, n - 1):
             got = braid_mod.cocycle_span_rank(n, q)
-            want = 2 * _comb(n, q + 2) * _factorial(q)
+            want = 2 * comb(n, q + 2) * factorial(q)
             if got != want:
                 lc_ok = False
         check("circuit-cocycle-ranks", lc_ok)
@@ -397,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="computation to run (default: betti)")
     parser.add_argument("--format", default="json",
                         choices=["json", "csv", "text"])
-    parser.add_argument("--jobs", type=int, default=1, metavar="K",
-                        help="parallel rank workers (default 1)")
     parser.add_argument("--rep-bound", type=int, default=8, metavar="N",
                         help="enumeration bound for representation work")
     parser.add_argument("--verify", action="store_true",
@@ -412,8 +408,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 1 or args.rep_bound < 1:
-            raise InputError("--jobs and --rep-bound must be positive")
+        if args.rep_bound < 1:
+            raise InputError("--rep-bound must be positive")
         if args.braid is not None:
             if args.braid < 2:
                 raise InputError("--braid needs N >= 2")
@@ -424,12 +420,14 @@ def main(argv=None) -> int:
                 raise InputError("%s does not contain a graph" % args.graph)
         else:
             source = parse_input(args.input)
-        result = COMMANDS[args.cmd](source, args)
+        arr, _ = _prepare(source)
+        model = functools.cache(lambda: cohomology.full_model(arr))
+        result = COMMANDS[args.cmd](source, args, model)
         code = 0
         if args.cmd == "verify-all" and not result["ok"]:
             code = 2
         if args.verify and args.cmd != "verify-all":
-            vres = cmd_verify_all(source, args)
+            vres = cmd_verify_all(source, args, model)
             result["verify"] = vres["verify"]
             if not vres["ok"]:
                 code = 2

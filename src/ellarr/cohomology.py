@@ -13,7 +13,6 @@ one curve, (1, 2, 1), once per factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import arrangement as arr_mod
@@ -83,10 +82,14 @@ def full_model(arr: Arrangement) -> TensorModel:
     return TensorModel(BigradedDGA(core_arr), nbars, transform)
 
 
-def page2_table(dga: BigradedDGA) -> BettiTable:
+def page2_table(dga: BigradedDGA, max_degree: Optional[int] = None
+                ) -> BettiTable:
+    """Basis dimensions per bidegree and torus weight, up to ``max_degree``."""
     entries = {}
     weights = {}
     for (p, q) in dga.bidegrees():
+        if max_degree is not None and p + q > max_degree:
+            continue
         monos = dga.basis(p, q)
         if not monos:
             continue
@@ -100,42 +103,19 @@ def page2_table(dga: BigradedDGA) -> BettiTable:
                       ambient_n=dga.n, rank=dga.poset.top_rank)
 
 
-class _RankEngine:
-    """Weight-blocked exact ranks of the differential, cached per bidegree."""
+def page3_table(dga: BigradedDGA, max_degree: Optional[int] = None
+                ) -> BettiTable:
+    """Cohomology of (page 2, d) computed by exact ranks, weight by weight.
 
-    def __init__(self, dga: BigradedDGA):
-        self.dga = dga
-        self._ranks: dict[tuple[int, int], dict[int, int]] = {}
-
-    def ranks(self, p: int, q: int) -> dict[int, int]:
-        """Rank of d: (p,q) -> (p+2,q-1), per weight block."""
-        key = (p, q)
-        got = self._ranks.get(key)
-        if got is not None:
-            return got
-        out: dict[int, int] = {}
-        if q >= 1 and self.dga.dim(p, q) and self.dga.dim(p + 2, q - 1):
-            tgt_index = self.dga.index(p + 2, q - 1)
-            by_weight: dict[int, list[dict[int, Fraction]]] = {}
-            for mono in self.dga.basis(p, q):
-                col = {tgt_index[m]: c for m, c in self.dga.d_monomial(mono).items()}
-                if col:
-                    by_weight.setdefault(self.dga.weight_of(mono), []).append(col)
-            for a, cols in by_weight.items():
-                out[a] = exactlin.sparse_rank(cols)
-        self._ranks[key] = out
-        return out
-
-
-def page3_table(dga: BigradedDGA, engine: Optional[_RankEngine] = None) -> BettiTable:
-    """Cohomology of (page 2, d) computed by exact ranks, weight by weight."""
-    engine = engine or _RankEngine(dga)
-    page2 = page2_table(dga)
+    With ``max_degree`` only the bidegrees with p + q <= max_degree are
+    computed; their entries are exact, since d raises p + q by one.
+    """
+    page2 = page2_table(dga, max_degree)
     entries = {}
     weights = {}
     for (p, q), wd in sorted(page2.weights.items()):
-        out_r = engine.ranks(p, q)
-        in_r = engine.ranks(p - 2, q + 1)
+        out_r = dga.ranks(p, q)
+        in_r = dga.ranks(p - 2, q + 1)
         wd3 = {}
         for a, d in wd.items():
             v = d - out_r.get(a, 0) - in_r.get(a, 0)
@@ -169,30 +149,22 @@ def tensor_with_curve(table: BettiTable, nfactors: int) -> BettiTable:
                       e_factors=table.e_factors + nfactors)
 
 
-def betti_page3(dga: BigradedDGA) -> BettiTable:
-    """Page-3 table of an essential model; alias for ``page3_table``."""
-    return page3_table(dga)
+def betti_tables(source, max_degree: Optional[int] = None
+                 ) -> tuple[BettiTable, BettiTable]:
+    """(page 2, page 3) tables of an arrangement or of its ``full_model``.
 
-
-def betti_tables(arr: Arrangement, jobs: int = 1) -> tuple[BettiTable, BettiTable]:
-    """(page 2, page 3) tables of an arbitrary arrangement.
-
-    With ``jobs`` > 1 the per-bidegree rank computations are dispatched to a
-    worker pool; results are identical to the sequential run.
+    ``max_degree`` limits both tables to total degrees p + q <= max_degree;
+    the curve factors only raise p, so those entries stay exact.
     """
-    core_arr, _, nbars = essentialize(arr)
-    dga = BigradedDGA(core_arr)
-    engine = _RankEngine(dga)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        degs = [bd for bd in dga.bidegrees() if dga.dim(*bd)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda bd: engine.ranks(*bd), degs))
-    t2 = page2_table(dga)
-    t3 = page3_table(dga, engine)
-    if nbars:
-        t2 = tensor_with_curve(t2, nbars)
-        t3 = tensor_with_curve(t3, nbars)
+    model = source if isinstance(source, TensorModel) else full_model(source)
+    t2 = tensor_with_curve(page2_table(model.core, max_degree), model.nbars)
+    t3 = tensor_with_curve(page3_table(model.core, max_degree), model.nbars)
+    if max_degree is not None:
+        for t in (t2, t3):
+            t.entries = {k: d for k, d in t.entries.items()
+                         if sum(k) <= max_degree}
+            t.weights = {k: w for k, w in t.weights.items()
+                         if sum(k) <= max_degree}
     return t2, t3
 
 
@@ -243,13 +215,12 @@ def verify_vanishing(arr: Arrangement, page3_full: BettiTable,
 
 def verify_first_column(dga: BigradedDGA) -> dict:
     """Injectivity of d on the first column: no page-3 classes at p = 0, q > 0."""
-    engine = _RankEngine(dga)
     failures = []
     for q in sorted(dga.poset.by_rank):
         if q == 0:
             continue
         dim = dga.dim(0, q)
-        rank = sum(engine.ranks(0, q).values())
+        rank = sum(dga.ranks(0, q).values())
         if rank != dim:
             failures.append({"q": q, "dim": dim, "rank": rank})
     return {"ok": not failures, "failures": failures}

@@ -52,15 +52,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(m, v):
-    return [sum(mi[k] * v[k] for k in range(len(v))) for mi in m]
-
-
-def transpose(m):
-    rows, cols = shape(m)
-    return [[m[i][j] for i in range(rows)] for j in range(cols)]
-
-
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SnfDecomposition:
     """Diagonalize an integer matrix by unimodular row/column operations.
 

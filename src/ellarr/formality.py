@@ -126,17 +126,15 @@ class GraphicModel:
     def closed_degree_one(self, elem) -> bool:
         return not self.model.d(elem)
 
-    def twisted_matrix(self, z, k: int) -> list[list[Fraction]]:
-        """Matrix of e -> z e + d e from total degree k to k+1."""
-        src = self.degree_basis(k)
+    def twisted_matrix(self, z, k: int) -> list[dict[int, Fraction]]:
+        """Sparse columns {row: value} of e -> z e + d e from degree k to k+1."""
         tgt_index = self.degree_index(k + 1)
-        mat = [[_ZERO] * len(src) for _ in range(len(tgt_index))]
-        for col, mono in enumerate(src):
+        cols = []
+        for mono in self.degree_basis(k):
             elem = {mono: Fraction(1)}
             image = add(self.model.multiply(z, elem), self.model.d(elem))
-            for m, c in image.items():
-                mat[tgt_index[m]][col] = c
-        return mat
+            cols.append({tgt_index[m]: c for m, c in image.items()})
+        return cols
 
     def kernel_degree_one(self) -> list:
         """Basis of the closed degree-1 elements, as model elements."""
@@ -164,21 +162,10 @@ def twisted_cohomology_h1(source, z) -> int:
     gm, z = _coerce(source, z)
     if not gm.closed_degree_one(z):
         raise ValueError("twisting class must be closed of degree one")
-    m1 = gm.twisted_matrix(z, 1)
     dim1 = len(gm.degree_basis(1))
-    rank1 = exactlin.sparse_rank(_columns_of(m1))
+    rank1 = exactlin.sparse_rank(gm.twisted_matrix(z, 1))
     rank0 = 1 if z else 0
     return dim1 - rank1 - rank0
-
-
-def _columns_of(mat) -> list[dict[int, Fraction]]:
-    cols = []
-    if not mat:
-        return cols
-    for j in range(len(mat[0])):
-        col = {i: mat[i][j] for i in range(len(mat)) if mat[i][j]}
-        cols.append(col)
-    return cols
 
 
 def resonance_membership_page2(source, z) -> bool:
@@ -225,7 +212,7 @@ def resonance_membership_page3(source, z) -> bool:
     if not z:
         return True
     kernel = gm.kernel_degree_one()
-    d1 = _columns_of(gm.d_matrix(1))
+    d1 = gm.twisted_matrix({}, 1)
     idx2 = gm.degree_index(2)
     prods = []
     for w in kernel:
@@ -252,8 +239,7 @@ def triangle_witness(graph: SimpleGraph) -> Optional[dict]:
 
 def verify_triangle_free_vanishing(graph: SimpleGraph) -> dict:
     """The three low-degree obstruction spaces of a triangle-free graph."""
-    arr = graphic_arrangement(graph)
-    _, t3 = cohomology.betti_tables(arr)
+    _, t3 = cohomology.betti_tables(graphic_arrangement(graph), max_degree=2)
     values = {"e3_0_1": t3.dim(0, 1), "e3_0_2": t3.dim(0, 2),
               "e3_1_1": t3.dim(1, 1)}
     return {"ok": all(v == 0 for v in values.values()), "values": values}
@@ -285,8 +271,7 @@ def one_isomorphism_report(graph: SimpleGraph) -> dict:
     must match the model's cohomology in degrees 0 and 1 and bound it in
     degree 2.
     """
-    arr = graphic_arrangement(graph)
-    _, t3 = cohomology.betti_tables(arr)
+    _, t3 = cohomology.betti_tables(graphic_arrangement(graph), max_degree=2)
     n2 = 2 * graph.n
     h0 = t3.dim(0, 0)
     h1 = sum(t3.dim(p, q) for p, q in ((1, 0), (0, 1)))

@@ -110,6 +110,7 @@ class BigradedDGA:
         self._index: dict[tuple[int, int], dict[Monomial, int]] = {}
         self._straight: dict[tuple[frozenset, tuple[int, ...]], dict] = {}
         self._d_cache: dict[Monomial, Element] = {}
+        self._ranks: dict[tuple[int, int], dict[int, int]] = {}
         self._sublayer: dict[tuple[int, tuple[int, ...]], int] = {}
         self._section_count: dict[tuple[int, tuple[int, ...]], int] = {}
 
@@ -363,6 +364,25 @@ class BigradedDGA:
                 elif key in out:
                     del out[key]
         self._d_cache[mono] = out
+        return out
+
+    def ranks(self, p: int, q: int) -> dict[int, int]:
+        """Exact rank of d: (p,q) -> (p+2,q-1), per weight block."""
+        key = (p, q)
+        got = self._ranks.get(key)
+        if got is not None:
+            return got
+        out: dict[int, int] = {}
+        if q >= 1 and self.dim(p, q) and self.dim(p + 2, q - 1):
+            tgt_index = self.index(p + 2, q - 1)
+            by_weight: dict[int, list[dict[int, Fraction]]] = {}
+            for mono in self.basis(p, q):
+                col = {tgt_index[m]: c for m, c in self.d_monomial(mono).items()}
+                if col:
+                    by_weight.setdefault(self.weight_of(mono), []).append(col)
+            for a, cols in by_weight.items():
+                out[a] = exactlin.sparse_rank(cols)
+        self._ranks[key] = out
         return out
 
     def _section_components(self, outer: int, iset: tuple[int, ...]) -> int:

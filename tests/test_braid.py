@@ -379,6 +379,8 @@ class TestExpectedDims:
         assert braid.schur_dimension((1, 1), 4) == comb(4, 2)
         assert braid.schur_dimension((2, 1), 3) == 8
         assert braid.schur_dimension((2, 1), 3) == count_ssyt((2, 1), 3)
+        # zero parts are dropped wherever they stand
+        assert braid.schur_dimension((0, 1), 1) == 1
 
     def test_schur_against_ssyt_oracle(self):
         for lam in [(1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2)]:

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from ellarr import cli
+from ellarr import braid, cli, exactlin
+from ellarr.model import BigradedDGA
 
 
 def run_cli(args):
@@ -188,20 +189,23 @@ class TestCommands:
         assert "poincare" in data and "verify" in data
         assert all(c["ok"] for c in data["verify"])
 
-    def test_bad_jobs_rejected(self):
-        code, _ = run_cli(["--braid", "3", "--cmd", "betti", "--jobs", "0"])
+    def test_bad_rep_bound_rejected(self):
+        code, _ = run_cli(["--braid", "3", "--cmd", "betti", "--rep-bound", "0"])
         assert code == 2
+
+    def test_verify_all_n1_skips_braid_checks(self, tmp_path):
+        path = tmp_path / "n1.json"
+        path.write_text('{"n": 1, "divisors": [[1], [-1]]}')
+        code, out = run_cli(["--input", str(path), "--cmd", "verify-all"])
+        data = json.loads(out)
+        assert code == 0 and data["ok"] is True
+        assert "stirling-first-column" not in {c["check"] for c in data["verify"]}
 
 
 class TestDeterminism:
     def test_byte_identical_runs(self, example_file):
         _, out1 = run_cli(["--input", example_file, "--cmd", "betti"])
         _, out2 = run_cli(["--input", example_file, "--cmd", "betti"])
-        assert out1 == out2
-
-    def test_jobs_do_not_change_output(self):
-        _, out1 = run_cli(["--braid", "4", "--cmd", "betti", "--jobs", "1"])
-        _, out2 = run_cli(["--braid", "4", "--cmd", "betti", "--jobs", "3"])
         assert out1 == out2
 
     def test_formats(self, example_file):
@@ -234,11 +238,53 @@ class TestEntryPoint:
         data = json.loads(proc.stdout)
         assert data["poincare"] == [1, 4, 5, 2]
 
-    def test_error_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("content, cmd, message", [
+        ('{"n": 1, "divisors": [[5]]}', "betti", "gcd"),
+        ('{"braid": 1}', "betti", "braid"),
+        ('{"braid": "x"}', "betti", "braid"),
+        ('{"n": 1, "divisors": [[1], [1]], "offsets": [["0", "0"], ["1/0", "0"]]}',
+         "betti", "offsets"),
+        ('{"n": 1, "divisors": [[1], [-1]]}', "braid-table", "braid-table"),
+    ], ids=["gcd", "braid-1", "braid-x", "offset-1/0", "braid-table-n1"])
+    def test_error_exit_code(self, tmp_path, content, cmd, message):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"n": 1, "divisors": [[5]]}')
+        bad.write_text(content)
         proc = subprocess.run(
-            [sys.executable, "-m", "ellarr.cli", "--input", str(bad)],
+            [sys.executable, "-m", "ellarr.cli", "--input", str(bad),
+             "--cmd", cmd],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
-        assert "gcd" in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
+
+
+class TestSharedModel:
+    """Each run builds the input's model once and computes only what it prints."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--braid", "4", "--cmd", "braid-table"],
+        ["--cmd", "betti", "--verify"],
+    ], ids=["braid-table", "betti-verify"])
+    def test_one_model_per_run(self, monkeypatch, example_file, argv):
+        braid.braid_model.cache_clear()
+        built = []
+        init = BigradedDGA.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BigradedDGA, "__init__", counting)
+        if "--braid" not in argv:
+            argv = ["--input", example_file] + argv
+        code, _ = run_cli(argv)
+        assert code == 0 and len(built) == 1
+
+    def test_rep_decompose_computes_no_ranks(self, monkeypatch):
+        calls = []
+        rank = exactlin.sparse_rank
+        monkeypatch.setattr(exactlin, "sparse_rank",
+                            lambda cols: calls.append(1) or rank(cols))
+        code, _ = run_cli(["--braid", "4", "--cmd", "rep-decompose"])
+        assert code == 0 and calls == []

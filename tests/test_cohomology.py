@@ -207,3 +207,37 @@ class TestKuenneth:
         # two points on a curve: (punctured curve) x curve
         _, t3 = cohomology.betti_tables(braid.braid_arrangement(2))
         assert t3.total_betti() == [1, 4, 5, 2]
+
+
+def _low_degree(table, top):
+    return ({k: v for k, v in table.entries.items() if sum(k) <= top},
+            {k: v for k, v in table.weights.items() if sum(k) <= top})
+
+
+class TestMaxDegree:
+    @pytest.mark.parametrize("name", ["C6", "K4", "example", "three-curves"])
+    def test_restriction_is_exact(self, name, example_arrangement):
+        from ellarr import formality
+        from ellarr.model import BigradedDGA
+        graphs = {
+            "C6": (6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6))),
+            "K4": (4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))),
+            "three-curves": (5, ((1, 2), (3, 4))),
+        }
+        if name == "example":
+            arr = example_arrangement
+        else:
+            arr = formality.graphic_arrangement(
+                formality.SimpleGraph(*graphs[name]))
+        model = cohomology.full_model(arr)
+        full = cohomology.page3_table(model.core)
+        low = cohomology.page3_table(BigradedDGA(model.core.arrangement),
+                                     max_degree=2)
+        assert (low.entries, low.weights) == _low_degree(full, 2)
+        full_t = cohomology.tensor_with_curve(full, model.nbars)
+        low_t = cohomology.tensor_with_curve(low, model.nbars)
+        assert _low_degree(low_t, 2) == _low_degree(full_t, 2)
+        t2, t3 = cohomology.betti_tables(arr, max_degree=2)
+        assert (t3.entries, t3.weights) == _low_degree(full_t, 2)
+        full_t2, _ = cohomology.betti_tables(arr)
+        assert (t2.entries, t2.weights) == _low_degree(full_t2, 2)
