@@ -129,14 +129,12 @@ class _RankCache:
         return self.rank(frozenset(indices) | {j}) == self.rank(indices)
 
 
-def independent_sets(arr: Arrangement,
-                     cache: Optional[_RankCache] = None) -> list[tuple[int, ...]]:
+def independent_sets(arr: Arrangement) -> list[tuple[int, ...]]:
     """All independent column index sets, in lexicographic order.
 
     Depth-first growth with an integer echelon carried along each branch;
     rows are kept primitive to bound entry growth.
     """
-    cache = cache or _RankCache(arr)
     out: list[tuple[int, ...]] = []
 
     def reduce_against(rows, vec):
@@ -174,7 +172,7 @@ def circuits(arr: Arrangement) -> list[tuple[int, ...]]:
     """
     cache = _RankCache(arr)
     found: set[tuple[int, ...]] = set()
-    for ind in independent_sets(arr, cache):
+    for ind in independent_sets(arr):
         iset = set(ind)
         for e in range(arr.size):
             if e in iset:
@@ -208,14 +206,12 @@ def _components_raw(arr: Arrangement, idx: tuple[int, ...]):
     system = arr.submatrix_t(idx)           # |I| x n rows c_i^T
     q1 = [arr.offsets[i][0] for i in idx]
     q2 = [arr.offsets[i][1] for i in idx]
-    if not any(q1) and not any(q2):
-        divisors = exactlin.elementary_divisors(system)
-        if all(d == 1 for d in divisors):
-            # connected intersection through the origin
-            lattice = exactlin.hermite_row_basis(system)
-            zk = tuple(_FZERO for _ in lattice)
-            return [(len(idx), lattice, zk, zk, zero, zero)]
     snf = exactlin.smith_normal_form(system)
+    if not any(q1) and not any(q2) and all(d == 1 for d in snf.divisors):
+        # connected intersection through the origin
+        lattice = exactlin.hermite_row_basis(system)
+        zk = tuple(_FZERO for _ in lattice)
+        return [(len(idx), lattice, zk, zk, zero, zero)]
     sols1 = exactlin.torsion_from_snf(snf, len(idx), arr.n, q1)
     sols2 = exactlin.torsion_from_snf(snf, len(idx), arr.n, q2)
     vinv = exactlin.inv_unimodular(snf.v)
@@ -274,12 +270,10 @@ class LayerPoset:
     """
 
     def __init__(self, arr: Arrangement, layers: list[Layer],
-                 assoc: dict[frozenset[int], tuple[int, ...]],
-                 rank_cache: _RankCache):
+                 assoc: dict[frozenset[int], tuple[int, ...]]):
         self.arrangement = arr
         self.layers = layers
         self.assoc = assoc
-        self._rank_cache = rank_cache
         self._above = [0] * len(layers)   # bitmask: j with leq(i, j)
         by_rank: dict[int, list[int]] = {}
         for lay in layers:
@@ -342,10 +336,9 @@ def build_poset(arr: Arrangement) -> LayerPoset:
 
     Flats are computed once per deduplicated layer, not per associated set.
     """
-    cache = _RankCache(arr)
     seen: dict[tuple, tuple] = {}
     assoc_raw: dict[frozenset[int], list] = {}
-    for ind in independent_sets(arr, cache):
+    for ind in independent_sets(arr):
         members = []
         for raw in _components_raw(arr, tuple(ind)):
             key = raw[1:4]
@@ -363,7 +356,7 @@ def build_poset(arr: Arrangement) -> LayerPoset:
         index_of[(lattice, t1, t2)] = i
     assoc = {iset: tuple(sorted(index_of[k] for k in keys))
              for iset, keys in assoc_raw.items()}
-    return LayerPoset(arr, layers, assoc, cache)
+    return LayerPoset(arr, layers, assoc)
 
 
 def is_essential(arr: Arrangement) -> bool:
@@ -372,8 +365,7 @@ def is_essential(arr: Arrangement) -> bool:
 
 def is_unimodular(arr: Arrangement) -> bool:
     """True when every divisor intersection is connected."""
-    cache = _RankCache(arr)
-    for ind in independent_sets(arr, cache):
+    for ind in independent_sets(arr):
         if not ind:
             continue
         snf = exactlin.smith_normal_form(arr.submatrix_t(ind))

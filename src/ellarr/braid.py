@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
+from . import exactlin
 from .arrangement import Arrangement
 from .model import BigradedDGA, Element, TensorModel, add, scale
 from .reptheory import (LABEL_DEGREE, LABEL_WEIGHT, LABELS,
@@ -383,11 +384,6 @@ def standard_circuits(n: int, k: int) -> list[Circuit]:
     return out
 
 
-def circuit_omega(model: BigradedDGA, n: int, edges: Sequence[tuple[int, int]]
-                  ) -> Element:
-    return omega_of_edge_list(model, n, edges)
-
-
 def circuit_cocycles(model: BigradedDGA, n: int, circuit: Circuit
                      ) -> tuple[Element, Element]:
     """The two closed degree-(1, k-2) elements attached to a circuit."""
@@ -407,7 +403,7 @@ def circuit_cocycles(model: BigradedDGA, n: int, circuit: Circuit
                 form = (model.one_form(vec, None) if kind == 0
                         else model.one_form(None, vec))
                 rest = [circuit.edges[a] for a in range(k) if a not in (i, j)]
-                om = circuit_omega(model, n, rest)
+                om = omega_of_edge_list(model, n, rest)
                 term = model.multiply(form, om)
                 sign = -1 if (i + j) % 2 else 1
                 total = add(total, scale(term, sign))
@@ -426,7 +422,6 @@ def cocycle_span_rank(n: int, q: int) -> int:
         for elem in (lc, lcp):
             col = {index[m]: c for m, c in elem.items()}
             vectors.append(col)
-    from . import exactlin
     return exactlin.sparse_rank(vectors)
 
 

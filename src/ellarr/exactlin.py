@@ -9,7 +9,6 @@ can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -151,67 +150,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SnfDecomposition:
 
 
 def elementary_divisors(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Elementary divisors only, skipping the transform bookkeeping."""
-    rows, cols = shape(m)
-    a = [list(map(int, r)) for r in m]
-    t = 0
-    limit = min(rows, cols)
-    out = []
-    while t < limit:
-        piv = None
-        best = None
-        for i in range(t, rows):
-            ai = a[i]
-            for j in range(t, cols):
-                e = ai[j]
-                if e and (best is None or abs(e) < best):
-                    best = abs(e)
-                    piv = (i, j)
-        if piv is None:
-            break
-        if piv[0] != t:
-            a[t], a[piv[0]] = a[piv[0]], a[t]
-        if piv[1] != t:
-            for r in a:
-                r[t], r[piv[1]] = r[piv[1]], r[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for r in a:
-                        r[j] -= q * r[t]
-                    if a[t][j]:
-                        for r in a:
-                            r[t], r[j] = r[j], r[t]
-                        dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, rows):
-                ai = a[i]
-                for j in range(t + 1, cols):
-                    if ai[j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-        out.append(abs(a[t][t]))
-        t += 1
-    return tuple(out)
+    """The positive elementary divisors d1 | d2 | ... of an integer matrix."""
+    return smith_normal_form(m).divisors
 
 
 def det_int(m: Sequence[Sequence[int]]) -> int:
@@ -241,50 +181,13 @@ def det_int(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _scale_rows_to_int(m) -> list[list[int]]:
-    out = []
-    for row in m:
-        fr = [Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in fr])
-    return out
-
-
 def rational_rank(m) -> int:
-    """Exact rank over the rationals via fraction-free Bareiss elimination.
+    """Exact rank over the rationals of a dense int or Fraction matrix.
 
-    Accepts int or Fraction entries; rows are rescaled to integers first,
-    which does not change the rank.
+    Each row becomes one sparse vector of the shared elimination kernel;
+    row rank equals column rank.
     """
-    rows, cols = shape(m)
-    if rows == 0 or cols == 0:
-        return 0
-    a = _scale_rows_to_int(m)
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < rows and col < cols:
-        pivot_row = None
-        for i in range(rank, rows):
-            if a[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        pv = a[rank][col]
-        for i in range(rank + 1, rows):
-            ai = a[i]
-            f = ai[col]
-            for j in range(col, cols):
-                ai[j] = (ai[j] * pv - f * a[rank][j]) // prev
-        prev = pv
-        rank += 1
-        col += 1
-    return rank
+    return _column_rank([{j: x for j, x in enumerate(row) if x} for row in m])
 
 
 def rref(m) -> tuple[list[list[Fraction]], list[int]]:
@@ -514,8 +417,20 @@ def torsion_from_snf(snf: SnfDecomposition, rows: int, cols: int,
 def sparse_rank(columns: list[dict[int, Fraction]]) -> int:
     """Exact rank of a sparse matrix given as a list of {row: value} columns.
 
-    Gaussian elimination over Q with a Markowitz-style pivot rule plus a
-    singleton-peeling fast path; exact regardless of pivot order.
+    Entries may be ints or Fractions; see `_column_rank`.
+    """
+    return _column_rank(columns)
+
+
+def _column_rank(columns) -> int:
+    """Exact rank over Q of sparse {row: value} columns.
+
+    Gaussian elimination with a Markowitz pivot rule: each column offers its
+    least-shared row, the pair with the smallest fill estimate
+    (nnz_col-1)*(nnz_row-1) is the pivot (the first with estimate 0 is taken
+    at once), and the pivot row is cleared from every other column hitting
+    it.  Division is by a Fraction pivot, so int entries stay exact; the
+    rank does not depend on the pivot order.
     """
     cols = [dict(c) for c in columns if c]
     rank = 0
@@ -537,7 +452,7 @@ def sparse_rank(columns: list[dict[int, Fraction]]) -> int:
 
     def eliminate(ci, prow):
         nonlocal rank
-        pval = cols[ci][prow]
+        pval = Fraction(cols[ci][prow])
         users = list(row_use.get(prow, ()))
         for cj in users:
             if cj == ci:
@@ -545,7 +460,7 @@ def sparse_rank(columns: list[dict[int, Fraction]]) -> int:
             f = cols[cj][prow] / pval
             target = cols[cj]
             for r, v in cols[ci].items():
-                nv = target.get(r, Fraction(0)) - f * v
+                nv = target.get(r, 0) - f * v
                 if nv:
                     if r not in target:
                         row_use.setdefault(r, set()).add(cj)

@@ -131,15 +131,15 @@ class BigradedDGA:
             return got
         layer = self.poset.layers[layer_id]
         flat = sorted(layer.flat)
-        rows = [[Fraction(self.arrangement.columns[j][i]) for j in flat]
+        rows = [[self.arrangement.columns[j][i] for j in flat]
                 for i in range(self.n)]
         chosen: list[int] = []
-        rank = exactlin.rational_rank(rows) if flat else 0
+        rank = exactlin.rational_rank(rows)
         need = self.n - layer.rank
         for j in range(self.arrangement.size):
             if len(chosen) == need:
                 break
-            cand = [row + [Fraction(self.arrangement.columns[j][i])]
+            cand = [row + [self.arrangement.columns[j][i]]
                     for i, row in enumerate(rows)]
             r = exactlin.rational_rank(cand)
             if r > rank:

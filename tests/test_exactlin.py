@@ -192,4 +192,63 @@ class TestSparseRank:
               for _ in range(cols)] for _ in range(rows)]
         sparse = [{i: Fraction(m[i][j]) for i in range(rows) if m[i][j]}
                   for j in range(cols)]
-        assert exactlin.sparse_rank(sparse) == exactlin.rational_rank(m)
+        assert exactlin.sparse_rank(sparse) == len(exactlin.rref(m)[1])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_int_entries_exact(self, seed):
+        # rank-deficient products B*C with int entries: int / int is float
+        # division, which misjudges cancellation, so pivots must be exact
+        rng = random.Random(500 + seed)
+        for _ in range(10):
+            rows, cols, k = rng.randint(2, 8), rng.randint(2, 8), rng.randint(1, 4)
+            b = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(rows)]
+            c = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(k)]
+            m = exactlin.mat_mul(b, c)
+            sparse = [{i: m[i][j] for i in range(rows) if m[i][j]}
+                      for j in range(cols)]
+            assert exactlin.sparse_rank(sparse) == len(exactlin.rref(m)[1])
+
+
+class TestKernelProperties:
+    """One rank kernel and one Smith routine, against independent routes."""
+
+    def test_rank_and_smith_invariants(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def matrices(rows, cols):
+            row = st.lists(st.integers(-6, 6), min_size=cols, max_size=cols)
+            return st.lists(row, min_size=rows, max_size=rows)
+
+        shapes = st.tuples(st.integers(1, 5), st.integers(1, 5))
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+        @hyp.given(shapes.flatmap(lambda s: matrices(*s)))
+        def check(m):
+            rows, cols = len(m), len(m[0])
+            int_cols = [{i: m[i][j] for i in range(rows) if m[i][j]}
+                        for j in range(cols)]
+            frac_cols = [{i: Fraction(x) for i, x in col.items()}
+                         for col in int_cols]
+            rank = len(exactlin.rref(m)[1])
+            assert exactlin.rational_rank(m) == rank
+            assert exactlin.sparse_rank(int_cols) == rank
+            assert exactlin.sparse_rank(frac_cols) == rank
+
+            divisors = exactlin.elementary_divisors(m)
+            assert divisors == exactlin.smith_normal_form(m).divisors
+            assert len(divisors) == rank
+            prod = 1
+            for k in range(1, min(rows, cols) + 1):
+                g = 0
+                for rsel in itertools.combinations(range(rows), k):
+                    for csel in itertools.combinations(range(cols), k):
+                        g = gcd(g, abs(exactlin.det_int(
+                            [[m[i][j] for j in csel] for i in rsel])))
+                if k <= rank:
+                    prod *= divisors[k - 1]
+                    assert prod == g
+                else:
+                    assert g == 0
+
+        check()
