@@ -224,8 +224,7 @@ def _components_raw(arr: Arrangement, idx: tuple[int, ...]):
     return out
 
 
-def components_of(arr: Arrangement, independent: Sequence[int],
-                  cache: Optional[_RankCache] = None) -> list[Layer]:
+def components_of(arr: Arrangement, independent: Sequence[int]) -> list[Layer]:
     """One Layer per connected component of the intersection over ``independent``.
 
     The two circle coordinates of the curve are solved separately and the
@@ -233,8 +232,7 @@ def components_of(arr: Arrangement, independent: Sequence[int],
     the elementary divisors.
     """
     idx = tuple(sorted(independent))
-    cache = cache or _RankCache(arr)
-    if not cache.is_independent(idx):
+    if not _RankCache(arr).is_independent(idx):
         raise ArrangementError("%s is a dependent set" % (idx,))
     layers = []
     for rank, lattice, t1, t2, w1, w2 in _components_raw(arr, idx):

@@ -4,11 +4,16 @@ Everything here runs on arbitrary-precision ints and `fractions.Fraction`;
 no floating point anywhere.  Matrices are plain lists of row lists, vectors
 are sequences.  All functions are pure and return fresh objects, so results
 can be shared freely between threads.
+
+Ranks (`sparse_rank`, `rational_rank`) come from one fraction-free column
+reduction over primitive integer columns; echelon forms, kernels and solves
+from `rref`; Smith forms from `smith_normal_form`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -414,90 +419,63 @@ def torsion_from_snf(snf: SnfDecomposition, rows: int, cols: int,
     return sorted(set(reps))
 
 
-def sparse_rank(columns: list[dict[int, Fraction]]) -> int:
+def sparse_rank(columns: list[dict[int, int | Fraction]]) -> int:
     """Exact rank of a sparse matrix given as a list of {row: value} columns.
 
-    Entries may be ints or Fractions; see `_column_rank`.
+    Entries may be ints or Fractions; see `_column_rank` for the
+    fraction-free column reduction behind it.
     """
     return _column_rank(columns)
+
+
+def _primitive(col) -> dict[int, int]:
+    """Nonzero entries of an int or Fraction column, scaled to coprime ints."""
+    den = lcm(*(x.denominator for x in col.values()))
+    out = {r: x.numerator * (den // x.denominator)
+           for r, x in col.items() if x}
+    g = gcd(*out.values())
+    if g > 1:
+        out = {r: x // g for r, x in out.items()}
+    return out
 
 
 def _column_rank(columns) -> int:
     """Exact rank over Q of sparse {row: value} columns.
 
-    Gaussian elimination with a Markowitz pivot rule: each column offers its
-    least-shared row, the pair with the smallest fill estimate
-    (nnz_col-1)*(nnz_row-1) is the pivot (the first with estimate 0 is taken
-    at once), and the pivot row is cleared from every other column hitting
-    it.  Division is by a Fraction pivot, so int entries stay exact; the
-    rank does not depend on the pivot order.
+    Fraction-free left-looking column reduction.  Each column is scaled to
+    primitive integers (rank does not change under nonzero column scaling),
+    then, in order of increasing nnz, reduced against the stored pivot
+    column with the same lowest row.  With p the pivot's and t the column's
+    lowest entry, the step is col <- col - (t/p)*pivot when p divides t and
+    otherwise col <- (p/g)*col - (t/g)*pivot with g = gcd(p, t), followed by
+    division by the content gcd.  A column whose lowest row is new becomes
+    a pivot; one reduced to zero is dependent.  Stored pivots have distinct
+    lowest rows, so they are independent and their count is the rank.
     """
-    cols = [dict(c) for c in columns if c]
-    rank = 0
-    # row -> set of column positions currently hitting it
-    row_use: dict[int, set[int]] = {}
-    for ci, col in enumerate(cols):
-        for r in col:
-            row_use.setdefault(r, set()).add(ci)
-    alive = set(range(len(cols)))
-
-    def remove_col(ci):
-        for r in cols[ci]:
-            s = row_use.get(r)
-            if s is not None:
-                s.discard(ci)
-                if not s:
-                    del row_use[r]
-        alive.discard(ci)
-
-    def eliminate(ci, prow):
-        nonlocal rank
-        pval = Fraction(cols[ci][prow])
-        users = list(row_use.get(prow, ()))
-        for cj in users:
-            if cj == ci:
-                continue
-            f = cols[cj][prow] / pval
-            target = cols[cj]
-            for r, v in cols[ci].items():
-                nv = target.get(r, 0) - f * v
-                if nv:
-                    if r not in target:
-                        row_use.setdefault(r, set()).add(cj)
-                    target[r] = nv
+    pivots: dict[int, dict[int, int]] = {}
+    for col in sorted(map(_primitive, columns), key=len):
+        while col:
+            low = min(col)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+                break
+            p, t = piv[low], col[low]
+            scaled = t % p != 0
+            if scaled:
+                g = gcd(p, t)
+                p, t = p // g, t // g
+                col = {r: p * x for r, x in col.items()}
+            else:
+                t //= p
+            for r, x in piv.items():
+                v = col.get(r, 0) - t * x
+                if v:
+                    col[r] = v
                 else:
-                    if r in target:
-                        del target[r]
-                        s = row_use.get(r)
-                        if s is not None:
-                            s.discard(cj)
-                            if not s:
-                                del row_use[r]
-            if not target:
-                alive.discard(cj)
-        remove_col(ci)
-        rank += 1
-
-    while alive:
-        for ci in [c for c in alive if not cols[c]]:
-            alive.discard(ci)
-        if not alive:
-            break
-        # Markowitz: minimize fill estimate (nnz_col-1)*(nnz_row-1)
-        best = None
-        best_score = None
-        for ci in alive:
-            col = cols[ci]
-            r, score = None, None
-            for rr in col:
-                sc = len(row_use[rr])
-                if score is None or sc < score:
-                    r, score = rr, sc
-            total = (len(col) - 1) * (score - 1)
-            if best_score is None or total < best_score:
-                best = (ci, r)
-                best_score = total
-                if total == 0:
-                    break
-        eliminate(*best)
-    return rank
+                    del col[r]
+            if scaled:
+                g = gcd(*col.values())
+                if g > 1:
+                    col = {r: x // g for r, x in col.items()}
+    return len(pivots)

@@ -8,7 +8,7 @@ per-layer reduction maps.
 
 A monomial is a tuple (layer_id, iset, syms) with syms a sorted tuple of
 (column, kind) pairs, kind 0 for the x-side and 1 for the y-side of the
-curve.  Elements are sparse dicts monomial -> Fraction.
+curve.  Elements are sparse dicts monomial -> int or Fraction.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ from .arrangement import Arrangement, LayerPoset
 
 Symbol = tuple[int, int]
 Monomial = tuple[int, tuple[int, ...], tuple[Symbol, ...]]
-Element = dict[Monomial, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Element = dict[Monomial, int | Fraction]
 
 
 def merge_sign(left: Sequence, right: Sequence):
@@ -78,7 +75,7 @@ def wedge_forms(f1: dict, f2: dict) -> dict:
             sign, merged = merge_sign(t1, t2)
             if sign == 0:
                 continue
-            c = out.get(merged, _ZERO) + sign * c1 * c2
+            c = out.get(merged, 0) + sign * c1 * c2
             if c:
                 out[merged] = c
             elif merged in out:
@@ -105,7 +102,7 @@ class BigradedDGA:
         self._nbc: dict[int, list[tuple[int, ...]]] = {}
         self._coframe: dict[int, tuple[int, ...]] = {}
         self._reduction: dict[int, list[list[Fraction]]] = {}
-        self._red_col: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+        self._red_col: dict[tuple[int, int], tuple[int | Fraction, ...]] = {}
         self._basis: dict[tuple[int, int], list[Monomial]] = {}
         self._index: dict[tuple[int, int], dict[Monomial, int]] = {}
         self._straight: dict[tuple[frozenset, tuple[int, ...]], dict] = {}
@@ -178,13 +175,14 @@ class BigradedDGA:
         return tuple(sum(row[k] * vec[k] for k in range(self.n) if vec[k])
                      for row in rmat)
 
-    def reduce_column(self, layer_id: int, col: int) -> tuple[Fraction, ...]:
+    def reduce_column(self, layer_id: int, col: int) -> tuple[int | Fraction, ...]:
+        """Coframe coordinates of one divisor's form; integral ones as ints."""
         key = (layer_id, col)
         got = self._red_col.get(key)
         if got is None:
-            got = self.reduce_vector(layer_id,
-                                     [Fraction(x) for x in
-                                      self.arrangement.columns[col]])
+            got = tuple(x.numerator if x.denominator == 1 else x
+                        for x in self.reduce_vector(
+                            layer_id, self.arrangement.columns[col]))
             self._red_col[key] = got
         return got
 
@@ -195,7 +193,7 @@ class BigradedDGA:
         return [((cofr[u], kind), lam[u]) for u in range(len(cofr)) if lam[u]]
 
     def _reduce_symbols(self, layer_id: int, syms: Sequence[Symbol]) -> dict:
-        form = {(): _ONE}
+        form = {(): 1}
         for sym in syms:
             terms = self._one_form_terms(layer_id, sym)
             form = wedge_forms(form, {(t,): c for t, c in terms})
@@ -295,7 +293,7 @@ class BigradedDGA:
                 return got
             hit = broken(chain)
             if hit is None:
-                result = {chain: _ONE}
+                result = {chain: 1}
             else:
                 circ, bc = hit
                 rest = tuple(i for i in chain if i not in bc)
@@ -312,7 +310,7 @@ class BigradedDGA:
                     sub = expand(merged)
                     f = sign_front * sgn * sign_back
                     for k, c in sub.items():
-                        nc = result.get(k, _ZERO) + f * c
+                        nc = result.get(k, 0) + f * c
                         if nc:
                             result[k] = nc
                         elif k in result:
@@ -331,7 +329,8 @@ class BigradedDGA:
         components of the divisor section inside the bigger layer: the class
         of one component is that fraction of the pulled-back point class, so
         this is what matches the sheaf-level differential (for connected
-        sections the factor is 1 and the naive formula survives).
+        sections the factor is 1, the naive formula survives and integral
+        coefficients stay ints).
         """
         got = self._d_cache.get(mono)
         if got is not None:
@@ -339,12 +338,13 @@ class BigradedDGA:
         lid, iset, syms = mono
         out: Element = {}
         p = len(syms)
-        lead = -_ONE if p % 2 else _ONE
+        lead = -1 if p % 2 else 1
         for pos, j in enumerate(iset):
             rest = iset[:pos] + iset[pos + 1:]
             tau = pos  # |{k in rest : k < j}| since iset is sorted
             sub = self._sublayer_of(lid, rest)
-            lead_j = lead / self._section_components(sub, iset)
+            ncomp = self._section_components(sub, iset)
+            lead_j = lead if ncomp == 1 else Fraction(lead, ncomp)
             lam = self.reduce_column(sub, j)
             cofr = self.coframe(sub)
             xside = {((cofr[u], 0),): lam[u] for u in range(len(cofr)) if lam[u]}
@@ -358,7 +358,7 @@ class BigradedDGA:
             coeff = lead_j if tau % 2 == 0 else -lead_j
             for t, c in form.items():
                 key = (sub, rest, t)
-                nc = out.get(key, _ZERO) + coeff * c
+                nc = out.get(key, 0) + coeff * c
                 if nc:
                     out[key] = nc
                 elif key in out:
@@ -375,7 +375,7 @@ class BigradedDGA:
         out: dict[int, int] = {}
         if q >= 1 and self.dim(p, q) and self.dim(p + 2, q - 1):
             tgt_index = self.index(p + 2, q - 1)
-            by_weight: dict[int, list[dict[int, Fraction]]] = {}
+            by_weight: dict[int, list[dict[int, int | Fraction]]] = {}
             for mono in self.basis(p, q):
                 col = {tgt_index[m]: c for m, c in self.d_monomial(mono).items()}
                 if col:
@@ -411,7 +411,7 @@ class BigradedDGA:
         out: Element = {}
         for mono, coeff in elem.items():
             for m2, c2 in self.d_monomial(mono).items():
-                nc = out.get(m2, _ZERO) + coeff * c2
+                nc = out.get(m2, 0) + coeff * c2
                 if nc:
                     out[m2] = nc
                 elif m2 in out:
@@ -431,7 +431,7 @@ class BigradedDGA:
             return {}
         sigma, _ = merge_sign(i1, i2)
         koszul = -1 if (len(s2) * len(i1)) % 2 else 1
-        base = Fraction(sigma * koszul)
+        base = sigma * koszul
         out: Element = {}
         for lid in targets:
             if not (self.poset.leq(l1, lid) and self.poset.leq(l2, lid)):
@@ -442,7 +442,7 @@ class BigradedDGA:
             for iset, sc in self.straighten(lid, union).items():
                 for t, c in form.items():
                     key = (lid, iset, t)
-                    nc = out.get(key, _ZERO) + base * sc * c
+                    nc = out.get(key, 0) + base * sc * c
                     if nc:
                         out[key] = nc
                     elif key in out:
@@ -455,7 +455,7 @@ class BigradedDGA:
             for m2, c2 in e2.items():
                 cc = c1 * c2
                 for m, c in self.multiply_monomials(m1, m2).items():
-                    nc = out.get(m, _ZERO) + cc * c
+                    nc = out.get(m, 0) + cc * c
                     if nc:
                         out[m] = nc
                     elif m in out:
@@ -469,7 +469,7 @@ class BigradedDGA:
         return self.poset.by_rank[0][0]
 
     def unit(self) -> Element:
-        return {(self.ambient_layer, (), ()): _ONE}
+        return {(self.ambient_layer, (), ()): 1}
 
     def one_form(self, xvec: Sequence, yvec: Sequence) -> Element:
         """Degree-(1,0) element with ambient x/y coefficient vectors."""
@@ -488,7 +488,7 @@ class BigradedDGA:
             for u in range(len(cofr)):
                 if lam[u]:
                     key = (amb, (), ((cofr[u], kind),))
-                    out[key] = out.get(key, _ZERO) + lam[u]
+                    out[key] = out.get(key, 0) + lam[u]
         return {k: v for k, v in out.items() if v}
 
     def column_form(self, col: int, kind: int) -> Element:
@@ -513,7 +513,7 @@ class BigradedDGA:
         divisor this is the single generator of the rank-1 layer."""
         out: Element = {}
         for lid in self.poset.layers_associated((col,)):
-            out[(lid, (col,), ())] = _ONE
+            out[(lid, (col,), ())] = 1
         return out
 
     # ----- audits ---------------------------------------------------------
@@ -570,7 +570,7 @@ def add(*elems: Element) -> Element:
     out: Element = {}
     for e in elems:
         for m, v in e.items():
-            nv = out.get(m, _ZERO) + v
+            nv = out.get(m, 0) + v
             if nv:
                 out[m] = nv
             elif m in out:
@@ -653,7 +653,7 @@ class TensorModel:
         return w
 
     def unit(self):
-        return {(next(iter(self.core.unit())), ()): _ONE}
+        return {(next(iter(self.core.unit())), ()): 1}
 
     def d(self, elem) -> dict:
         degs = {self.bidegree_of(m) for m in elem}
@@ -663,7 +663,7 @@ class TensorModel:
         for (core_m, bars), coeff in elem.items():
             for m2, c2 in self.core.d_monomial(core_m).items():
                 key = (m2, bars)
-                nc = out.get(key, _ZERO) + coeff * c2
+                nc = out.get(key, 0) + coeff * c2
                 if nc:
                     out[key] = nc
                 elif key in out:
@@ -684,7 +684,7 @@ class TensorModel:
                 cc = c1 * c2 * sign
                 for m, c in self.core.multiply_monomials(m1, m2).items():
                     key = (m, bars)
-                    nc = out.get(key, _ZERO) + cc * c
+                    nc = out.get(key, 0) + cc * c
                     if nc:
                         out[key] = nc
                     elif key in out:
@@ -707,13 +707,13 @@ class TensorModel:
                                            None if kind == 0 else w[:self.core.n])
             for m, c in core_part.items():
                 key = (m, ())
-                out[key] = out.get(key, _ZERO) + c
+                out[key] = out.get(key, 0) + c
             unit_core = next(iter(self.core.unit()))
             for k in range(self.nbars):
                 c = w[self.core.n + k]
                 if c:
                     key = (unit_core, ((k, kind),))
-                    out[key] = out.get(key, _ZERO) + c
+                    out[key] = out.get(key, 0) + c
         return {k: v for k, v in out.items() if v}
 
     def include_core(self, elem: Element) -> dict:

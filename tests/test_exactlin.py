@@ -252,3 +252,40 @@ class TestKernelProperties:
                     assert g == 0
 
         check()
+
+    def test_column_reduction_scaling(self):
+        # sparse int/Fraction columns up to 12 x 12 at about 30% density;
+        # appending rescaled copies forces each copy through a reduction
+        # chain down to zero without changing the rank
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        value = st.one_of(
+            st.integers(-6, 6),
+            st.builds(Fraction, st.integers(-6, 6), st.integers(2, 6)))
+        entry = st.integers(0, 9).flatmap(
+            lambda k: value if k < 3 else st.just(0))
+        factor = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                           st.integers(1, 6))
+
+        def case(rows, cols):
+            row = st.lists(entry, min_size=cols, max_size=cols)
+            return st.tuples(st.lists(row, min_size=rows, max_size=rows),
+                             st.lists(factor, min_size=cols, max_size=cols))
+
+        shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+        @hyp.given(shapes.flatmap(lambda s: case(*s)))
+        def check(args):
+            m, factors = args
+            cols = [{i: row[j] for i, row in enumerate(m) if row[j]}
+                    for j in range(len(m[0]))]
+            scaled = [{i: x * f for i, x in col.items()}
+                      for col, f in zip(cols, factors)]
+            rank = len(exactlin.rref(m)[1])
+            assert exactlin.sparse_rank(cols) == rank
+            assert exactlin.sparse_rank(scaled) == rank
+            assert exactlin.sparse_rank(cols + scaled) == rank
+
+        check()

@@ -149,6 +149,45 @@ class TestDifferential:
         for mono in all_monomials(dga):
             assert not dga.d(dga.d({mono: ONE}))
 
+    def test_braid_coefficients_are_ints(self, braid4):
+        # connected braid sections keep the differential integral
+        coeffs = [c for mono in all_monomials(braid4)
+                  for c in braid4.d_monomial(mono).values()]
+        assert coeffs and all(type(c) is int for c in coeffs)
+
+    def test_disconnected_section_coefficients(self, offset_model):
+        # divisors 0 and 1 meet in four points: d of each w_{L,(0,1)}
+        # carries the exact 1/#components factor
+        images = [offset_model.d_monomial(m) for m in offset_model.basis(0, 2)
+                  if m[1] == (0, 1)]
+        assert len(images) == 4
+        assert all(abs(c) == Fraction(1, 4)
+                   for image in images for c in image.values())
+
+    @pytest.mark.parametrize("fixture", ["braid4", "offset_model"])
+    def test_block_ranks_match_sympy(self, fixture, request):
+        sympy = pytest.importorskip("sympy")
+        dga = request.getfixturevalue(fixture)
+        checked = 0
+        for p, q in dga.bidegrees():
+            if q < 1 or not dga.dim(p, q) or not dga.dim(p + 2, q - 1):
+                continue
+            tgt_index = dga.index(p + 2, q - 1)
+            blocks: dict = {}
+            for mono in dga.basis(p, q):
+                col = [sympy.Integer(0)] * len(tgt_index)
+                for m, c in dga.d_monomial(mono).items():
+                    c = Fraction(c)
+                    col[tgt_index[m]] = sympy.Rational(c.numerator,
+                                                       c.denominator)
+                blocks.setdefault(dga.weight_of(mono), []).append(col)
+            ranks = dga.ranks(p, q)
+            for a, cols in blocks.items():
+                want = sympy.Matrix(cols).T.rank()
+                assert ranks.get(a, 0) == want, (p, q, a)
+                checked += want
+        assert checked
+
     def test_bidegree(self, example_model):
         for mono in all_monomials(example_model):
             p, q = example_model.bidegree_of(mono)
