@@ -3,20 +3,23 @@
 A divisor is encoded by an integer column (its group equation) plus an
 optional torsion offset, one rational mod 1 per circle coordinate of the
 curve.  Layers are connected components of divisor intersections; they are
-identified by the saturated lattice of their defining equations together
-with the component label, which makes deduplication and containment tests
-exact and cheap.
+identified by their key: the saturated lattice of their defining equations
+together with the lattice's pairings with any point of the layer.  Keys make
+deduplication exact, and they make containment a lookup: for a lattice M
+inside the lattice of a layer B, the one layer with lattice M that can
+contain B is keyed by M and M's pairings with a point of B.  Lattice
+inclusion is read off a span table, the set of columns in the rational span
+of each distinct lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import exactlin
-from .exactlin import frac_mod1
 
 Offset = tuple[Fraction, Fraction]
 
@@ -55,7 +58,7 @@ class Arrangement:
                     "column %d has gcd %d; a divisor is connected only if the "
                     "gcd of its coefficients is 1" % (k, g))
         if self.offsets:
-            offs = tuple((frac_mod1(Fraction(a)), frac_mod1(Fraction(b)))
+            offs = tuple((Fraction(a) % 1, Fraction(b) % 1)
                          for a, b in self.offsets)
         else:
             offs = tuple((Fraction(0), Fraction(0)) for _ in cols)
@@ -101,9 +104,15 @@ class Layer:
 
 
 def _pairing(lattice, point) -> tuple[Fraction, ...]:
-    return tuple(frac_mod1(sum(Fraction(r[k]) * point[k]
-                               for k in range(len(point))))
-                 for r in lattice)
+    """Pairings of integer rows with a rational point, mod 1.
+
+    The point is put over one common denominator, so each pairing is one
+    integer dot product reduced mod that denominator.
+    """
+    den = lcm(*(x.denominator for x in point))
+    nums = [x.numerator * (den // x.denominator) for x in point]
+    return tuple(Fraction(sum(r * x for r, x in zip(row, nums)) % den, den)
+                 for row in lattice)
 
 
 class _RankCache:
@@ -137,25 +146,11 @@ def independent_sets(arr: Arrangement) -> list[tuple[int, ...]]:
     """
     out: list[tuple[int, ...]] = []
 
-    def reduce_against(rows, vec):
-        v = list(vec)
-        for lead, row in rows:
-            if v[lead]:
-                a, b = row[lead], v[lead]
-                v = [x * a - b * y for x, y in zip(v, row)]
-        for lead, x in enumerate(v):
-            if x:
-                g = 0
-                for y in v:
-                    g = gcd(g, abs(y))
-                return lead, [y // g for y in v]
-        return None
-
     def extend(prefix: tuple[int, ...], rows):
         out.append(prefix)
         start = prefix[-1] + 1 if prefix else 0
         for j in range(start, arr.size):
-            red = reduce_against(rows, arr.columns[j])
+            red = exactlin.echelon_reduce(rows, arr.columns[j])
             if red is not None:
                 extend(prefix + (j,), rows + [red])
 
@@ -195,12 +190,9 @@ def fundamental_circuit(arr: Arrangement, e: int,
     return tuple(sorted(members))
 
 
-_FZERO = Fraction(0)
-
-
 def _components_raw(arr: Arrangement, idx: tuple[int, ...]):
     """Component data (rank, lattice, keys, witnesses) without flats."""
-    zero = tuple(_FZERO for _ in range(arr.n))
+    zero = (Fraction(0),) * arr.n
     if not idx:
         return [(0, (), (), (), zero, zero)]
     system = arr.submatrix_t(idx)           # |I| x n rows c_i^T
@@ -210,7 +202,7 @@ def _components_raw(arr: Arrangement, idx: tuple[int, ...]):
     if not any(q1) and not any(q2) and all(d == 1 for d in snf.divisors):
         # connected intersection through the origin
         lattice = exactlin.hermite_row_basis(system)
-        zk = tuple(_FZERO for _ in lattice)
+        zk = (0,) * len(lattice)
         return [(len(idx), lattice, zk, zk, zero, zero)]
     sols1 = exactlin.torsion_from_snf(snf, len(idx), arr.n, q1)
     sols2 = exactlin.torsion_from_snf(snf, len(idx), arr.n, q2)
@@ -236,27 +228,30 @@ def components_of(arr: Arrangement, independent: Sequence[int]) -> list[Layer]:
         raise ArrangementError("%s is a dependent set" % (idx,))
     layers = []
     for rank, lattice, t1, t2, w1, w2 in _components_raw(arr, idx):
-        flat = _flat_of(arr, lattice, w1, w2)
+        flat = _flat_of(arr, _span(arr, lattice), w1, w2)
         layers.append(Layer(rank=rank, lattice=lattice, t1=t1, t2=t2,
                             witness1=w1, witness2=w2, flat=flat))
     return layers
 
 
-def _flat_of(arr, lattice, w1, w2) -> frozenset[int]:
-    """Divisors containing the whole layer: span condition plus one point."""
-    flat = set()
-    for i, col in enumerate(arr.columns):
-        if lattice:
-            if not exactlin.in_row_span(lattice, col):
-                continue
-        elif any(col):
-            continue
-        v1 = sum(Fraction(col[k]) * w1[k] for k in range(arr.n) if col[k])
-        v2 = sum(Fraction(col[k]) * w2[k] for k in range(arr.n) if col[k])
-        if (frac_mod1(v1 - arr.offsets[i][0]) == 0
-                and frac_mod1(v2 - arr.offsets[i][1]) == 0):
-            flat.add(i)
-    return frozenset(flat)
+def _span(arr: Arrangement, lattice) -> frozenset[int]:
+    """Columns in the rational span of a lattice's Hermite basis.
+
+    A layer's lattice is the saturation of the columns in its span, so for
+    two layer lattices, M <= N exactly when span(M) <= span(N).
+    """
+    return frozenset(i for i, col in enumerate(arr.columns)
+                     if exactlin.in_row_span(lattice, col))
+
+
+def _flat_of(arr, span, w1, w2) -> frozenset[int]:
+    """Divisors containing the whole layer: in its lattice's span and
+    through one of its points."""
+    idx = sorted(span)
+    cols = [arr.columns[i] for i in idx]
+    return frozenset(i for i, v1, v2 in zip(idx, _pairing(cols, w1),
+                                            _pairing(cols, w2))
+                     if (v1, v2) == arr.offsets[i])
 
 
 class LayerPoset:
@@ -265,33 +260,48 @@ class LayerPoset:
     ``leq(a, b)`` means layer a contains layer b as point sets.  Layers are
     indexed in a deterministic order (rank, then lattice key, then component
     label), so downstream constructions are reproducible.
+
+    Containment is found by lookup, not by testing all pairs.  A layer a
+    contains b exactly when a's lattice lies in b's (their spans nest) and
+    a's key equals a's lattice paired with a point of b.  So for each b and
+    each distinct lattice M of lower rank with span(M) <= span(b), at most
+    one layer, the one keyed by M and b's pairings, lies below b.
     """
 
     def __init__(self, arr: Arrangement, layers: list[Layer],
-                 assoc: dict[frozenset[int], tuple[int, ...]]):
+                 assoc_keys: dict[frozenset[int], list],
+                 span: dict[tuple, frozenset[int]]):
         self.arrangement = arr
         self.layers = layers
-        self.assoc = assoc
-        self._above = [0] * len(layers)   # bitmask: j with leq(i, j)
+        index_of = {lay.key: lay.index for lay in layers}
+        self.assoc = {iset: tuple(sorted(index_of[k] for k in keys))
+                      for iset, keys in assoc_keys.items()}
         by_rank: dict[int, list[int]] = {}
         for lay in layers:
             by_rank.setdefault(lay.rank, []).append(lay.index)
         self.by_rank = by_rank
-        for a in layers:
-            mask = 0
-            for b in layers:
-                if self._contains(a, b):
-                    mask |= 1 << b.index
-            self._above[a.index] = mask
-
-    @staticmethod
-    def _contains(outer: Layer, inner: Layer) -> bool:
-        if outer.rank > inner.rank:
-            return False
-        if not outer.flat <= inner.flat:
-            return False
-        return (_pairing(outer.lattice, inner.witness1) == outer.t1
-                and _pairing(outer.lattice, inner.witness2) == outer.t2)
+        lattices = list(dict.fromkeys(lay.lattice for lay in layers))  # by rank
+        zero_key = {lat: (lat, (0,) * len(lat), (0,) * len(lat))
+                    for lat in lattices}
+        self._above = [0] * len(layers)   # bitmask: j with leq(i, j)
+        for b in layers:
+            bit = 1 << b.index
+            self._above[b.index] |= bit
+            inner = span[b.lattice]
+            at_origin = not any(b.witness1) and not any(b.witness2)
+            for lat in lattices:
+                if len(lat) >= b.rank:
+                    break
+                if not span[lat] <= inner:
+                    continue
+                if at_origin:
+                    key = zero_key[lat]
+                else:
+                    key = (lat, _pairing(lat, b.witness1),
+                           _pairing(lat, b.witness2))
+                a = index_of.get(key)
+                if a is not None:
+                    self._above[a] |= bit
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self._above[a] >> b & 1)
@@ -308,12 +318,14 @@ class LayerPoset:
         return max(self.by_rank) if self.by_rank else 0
 
     def covers(self) -> list[tuple[int, int]]:
+        """Pairs (a, b) with a < b and rank(b) = rank(a) + 1, sorted."""
         out = []
         for a in self.layers:
-            for b in self.layers:
-                if a.rank + 1 == b.rank and self.leq(a.index, b.index):
-                    out.append((a.index, b.index))
-        return sorted(out)
+            above = self._above[a.index]
+            for b in self.by_rank.get(a.rank + 1, ()):
+                if above >> b & 1:
+                    out.append((a.index, b))
+        return out
 
     def layers_associated(self, indices) -> tuple[int, ...]:
         return self.assoc.get(frozenset(indices), ())
@@ -332,29 +344,40 @@ class LayerPoset:
 def build_poset(arr: Arrangement) -> LayerPoset:
     """All layers of all independent sets, deduplicated by point set.
 
-    Flats are computed once per deduplicated layer, not per associated set.
+    Sets without offsets whose columns generate the same lattice cut out
+    the same components, so those are computed once per row lattice.  Spans
+    are computed once per distinct lattice and flats once per deduplicated
+    layer, not per associated set.
     """
     seen: dict[tuple, tuple] = {}
-    assoc_raw: dict[frozenset[int], list] = {}
+    assoc_keys: dict[frozenset[int], list] = {}
+    untwisted: dict[tuple, list] = {}
     for ind in independent_sets(arr):
+        if ind and not any(any(arr.offsets[i]) for i in ind):
+            row_lattice = exactlin.hermite_row_basis(arr.submatrix_t(ind))
+            raws = untwisted.get(row_lattice)
+            if raws is None:
+                raws = untwisted[row_lattice] = _components_raw(arr, ind)
+        else:
+            raws = _components_raw(arr, ind)
         members = []
-        for raw in _components_raw(arr, tuple(ind)):
+        for raw in raws:
             key = raw[1:4]
             if key not in seen:
                 seen[key] = raw
             members.append(key)
-        assoc_raw[frozenset(ind)] = members
-    ordered = sorted(seen.values(), key=lambda r: (r[0], r[1], r[2], r[3]))
+        assoc_keys[frozenset(ind)] = members
+    ordered = sorted(seen.values(), key=lambda r: r[:4])
+    span: dict[tuple, frozenset[int]] = {}
     layers = []
-    index_of = {}
     for i, (rank, lattice, t1, t2, w1, w2) in enumerate(ordered):
-        flat = _flat_of(arr, lattice, w1, w2)
+        if lattice not in span:
+            span[lattice] = _span(arr, lattice)
         layers.append(Layer(rank=rank, lattice=lattice, t1=t1, t2=t2,
-                            witness1=w1, witness2=w2, flat=flat, index=i))
-        index_of[(lattice, t1, t2)] = i
-    assoc = {iset: tuple(sorted(index_of[k] for k in keys))
-             for iset, keys in assoc_raw.items()}
-    return LayerPoset(arr, layers, assoc)
+                            witness1=w1, witness2=w2,
+                            flat=_flat_of(arr, span[lattice], w1, w2),
+                            index=i))
+    return LayerPoset(arr, layers, assoc_keys, span)
 
 
 def is_essential(arr: Arrangement) -> bool:

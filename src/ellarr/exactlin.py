@@ -357,17 +357,32 @@ def frac_mod1(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
-def in_row_span(echelon_rows, vec) -> bool:
-    """Is ``vec`` in the rational span of rows with increasing pivots?"""
-    v = [Fraction(x) for x in vec]
-    for row in echelon_rows:
-        lead = next(k for k, x in enumerate(row) if x)
+def echelon_reduce(rows, vec):
+    """Reduce an integer vector against an integer echelon, fraction-free.
+
+    ``rows`` is a list of (lead, row) pairs, each row zero at the leads of
+    the rows before it, as this function returns them.  Returns the
+    remainder as (lead, primitive row), or None when ``vec`` lies in the
+    rows' rational span.
+    """
+    v = list(vec)
+    for lead, row in rows:
         if v[lead]:
-            f = v[lead] / row[lead]
-            for k in range(lead, len(v)):
-                if row[k]:
-                    v[k] -= f * row[k]
-    return not any(v)
+            a, b = row[lead], v[lead]
+            v = [x * a - b * y for x, y in zip(v, row)]
+    for lead, x in enumerate(v):
+        if x:
+            g = gcd(*v)
+            return lead, [y // g for y in v]
+    return None
+
+
+def in_row_span(echelon_rows, vec) -> bool:
+    """Is the integer ``vec`` in the rational span of integer rows with
+    increasing pivots?"""
+    rows = [(next(k for k, x in enumerate(row) if x), row)
+            for row in echelon_rows]
+    return echelon_reduce(rows, vec) is None
 
 
 def solve_torsion(m: Sequence[Sequence[int]], q: Sequence[Fraction]

@@ -52,21 +52,6 @@ def merge_sign(left: Sequence, right: Sequence):
     return sign, tuple(out)
 
 
-def sort_factors(seq: Sequence):
-    """Sort odd-degree factors, tracking the Koszul sign; 0 on repeats."""
-    items = list(seq)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and items[j - 1] == items[j]:
-            return 0, None
-    return sign, tuple(items)
-
-
 def wedge_forms(f1: dict, f2: dict) -> dict:
     """Product of two exterior forms given as {sorted symbol tuple: coeff}."""
     out: dict = {}
@@ -122,27 +107,31 @@ class BigradedDGA:
         return got
 
     def coframe(self, layer_id: int) -> tuple[int, ...]:
-        """Greedy-minimal columns whose classes frame the layer's cohomology."""
+        """Greedy-minimal columns whose classes frame the layer's cohomology.
+
+        Columns are taken in order when independent of the layer's
+        equations and the columns taken before; one integer echelon per
+        layer decides each candidate.
+        """
         got = self._coframe.get(layer_id)
         if got is not None:
             return got
         layer = self.poset.layers[layer_id]
-        flat = sorted(layer.flat)
-        rows = [[self.arrangement.columns[j][i] for j in flat]
-                for i in range(self.n)]
+        columns = self.arrangement.columns
+        rows: list = []
+        for j in sorted(layer.flat):
+            red = exactlin.echelon_reduce(rows, columns[j])
+            if red is not None:
+                rows.append(red)
         chosen: list[int] = []
-        rank = exactlin.rational_rank(rows)
         need = self.n - layer.rank
         for j in range(self.arrangement.size):
             if len(chosen) == need:
                 break
-            cand = [row + [self.arrangement.columns[j][i]]
-                    for i, row in enumerate(rows)]
-            r = exactlin.rational_rank(cand)
-            if r > rank:
+            red = exactlin.echelon_reduce(rows, columns[j])
+            if red is not None:
                 chosen.append(j)
-                rows = cand
-                rank = r
+                rows.append(red)
         if len(chosen) != need:
             raise ModelError("could not frame layer %d" % layer_id)
         got = tuple(chosen)

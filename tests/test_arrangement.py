@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from ellarr import arrangement as arr_mod
-from ellarr import braid
+from ellarr import braid, exactlin
 from ellarr.arrangement import Arrangement, ArrangementError
 
 
@@ -256,3 +257,106 @@ class TestBraidPartitionLattice:
         poset = arr_mod.build_poset(braid_cols(n))
         for q, count in poset.counts_by_rank().items():
             assert count == braid.stirling_second(n, n - q)
+
+
+def _flat_oracle(arr, lattice, w1, w2):
+    # divisors through the layer: in the lattice's span, through a point
+    flat = set()
+    for i, col in enumerate(arr.columns):
+        if exactlin.rational_rank(list(lattice) + [col]) > len(lattice):
+            continue
+        v1 = sum(Fraction(c) * w for c, w in zip(col, w1))
+        v2 = sum(Fraction(c) * w for c, w in zip(col, w2))
+        if (v1 - arr.offsets[i][0]) % 1 == 0 and (v2 - arr.offsets[i][1]) % 1 == 0:
+            flat.add(i)
+    return frozenset(flat)
+
+
+def _pairing_oracle(lattice, point):
+    return tuple(sum(Fraction(r) * x for r, x in zip(row, point)) % 1
+                 for row in lattice)
+
+
+def _contains_oracle(outer, inner, memo):
+    # the pairwise containment test, run on all L^2 pairs; ``memo`` keeps
+    # the pairings of inner's point per (outer lattice, inner index)
+    if outer.rank > inner.rank or not outer.flat <= inner.flat:
+        return False
+    key = (outer.lattice, inner.index)
+    if key not in memo:
+        memo[key] = (_pairing_oracle(outer.lattice, inner.witness1),
+                     _pairing_oracle(outer.lattice, inner.witness2))
+    return memo[key] == (outer.t1, outer.t2)
+
+
+def assert_poset_matches_oracle(arr):
+    poset = arr_mod.build_poset(arr)
+    layers = poset.layers
+    memo = {}
+    for lay in layers:
+        assert lay.flat == _flat_oracle(arr, lay.lattice, lay.witness1,
+                                        lay.witness2)
+        assert lay.t1 == _pairing_oracle(lay.lattice, lay.witness1)
+        assert lay.t2 == _pairing_oracle(lay.lattice, lay.witness2)
+    for a in layers:
+        want = sum(1 << b.index for b in layers
+                   if _contains_oracle(a, b, memo))
+        assert poset._above[a.index] == want, a.index
+    # leq is a partial order with the whole space (layer 0) as minimum
+    for a in range(poset.size):
+        assert poset.leq(0, a) and poset.leq(a, a)
+        for b in range(poset.size):
+            if a != b and poset.leq(a, b):
+                assert not poset.leq(b, a)
+                assert poset._above[b] & ~poset._above[a] == 0
+    for iset, lids in poset.assoc.items():
+        assert all(poset.rank(lid) == len(iset) for lid in lids)
+    assert poset.covers() == [(a, b) for a in range(poset.size)
+                              for b in range(poset.size)
+                              if poset.rank(b) == poset.rank(a) + 1
+                              and poset.leq(a, b)]
+    return poset
+
+
+def worked_example(k):
+    return Arrangement(2, ((1, 0), (1, k), (2, k)))
+
+
+class TestPosetOracle:
+    """Lookup containment against the pairwise test it replaced."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_braid(self, n):
+        assert_poset_matches_oracle(braid_cols(n))
+
+    @pytest.mark.parametrize("k", [5, 9])
+    def test_worked_example(self, k):
+        poset = assert_poset_matches_oracle(worked_example(k))
+        assert poset.counts_by_rank() == {0: 1, 1: 3, 2: k * k}
+
+    def test_worked_example_k31_size(self):
+        assert arr_mod.build_poset(worked_example(31)).size == 965
+
+    def test_random_torsion_inputs(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        offset = st.sampled_from([Fraction(0), Fraction(1, 2),
+                                  Fraction(1, 3), Fraction(2, 3)])
+
+        def primitive(v):
+            return gcd(*v) == 1
+
+        def arrangements(n):
+            col = st.lists(st.integers(-2, 2), min_size=n,
+                           max_size=n).filter(primitive)
+            div = st.tuples(col, st.tuples(offset, offset))
+            return st.lists(div, min_size=3, max_size=5).map(
+                lambda ds: Arrangement(n, tuple(tuple(c) for c, _ in ds),
+                                       tuple(o for _, o in ds)))
+
+        @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+        @hyp.given(st.integers(2, 3).flatmap(arrangements))
+        def check(arr):
+            assert_poset_matches_oracle(arr)
+
+        check()

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from ellarr import arrangement as arr_mod
-from ellarr import braid
+from ellarr import braid, exactlin
 from ellarr.arrangement import Arrangement
 from ellarr.model import (BigradedDGA, ModelError, TensorModel, add, scale,
-                          sub, merge_sign, sort_factors)
+                          sub, merge_sign)
 
 ONE = Fraction(1)
 
@@ -28,6 +28,11 @@ def braid3():
 @pytest.fixture(scope="module")
 def braid4():
     return braid.braid_model(4)
+
+
+@pytest.fixture(scope="module")
+def braid5():
+    return braid.braid_model(5)
 
 
 @pytest.fixture(scope="module")
@@ -59,11 +64,6 @@ class TestSignHelpers:
         assert merge_sign((), (5,)) == (1, (5,))
         assert merge_sign((1,), (1,)) == (0, None)
 
-    def test_sort_factors(self):
-        assert sort_factors((3, 1, 2)) == (1, (1, 2, 3))
-        assert sort_factors((2, 1)) == (-1, (1, 2))
-        assert sort_factors((1, 1)) == (0, None)
-
 
 class TestCoframe:
     def test_ambient_full_rank(self, example_model):
@@ -85,6 +85,25 @@ class TestCoframe:
     def test_non_essential_faults(self):
         with pytest.raises(ModelError):
             BigradedDGA(braid.braid_arrangement(3))
+
+    @pytest.mark.parametrize("fixture", ["braid4", "braid5", "example_model",
+                                         "offset_model"])
+    def test_matches_rank_rule(self, fixture, request):
+        # the greedy rule as a sequence of ranks: column j joins the frame
+        # when it raises the rank of the flat's columns plus those chosen
+        dga = request.getfixturevalue(fixture)
+        columns = dga.arrangement.columns
+        for lid, layer in enumerate(dga.poset.layers):
+            rows = [columns[j] for j in sorted(layer.flat)]
+            chosen = []
+            for j in range(dga.arrangement.size):
+                if len(chosen) == dga.n - layer.rank:
+                    break
+                if (exactlin.rational_rank(rows + [columns[j]])
+                        > exactlin.rational_rank(rows)):
+                    chosen.append(j)
+                    rows.append(columns[j])
+            assert dga.coframe(lid) == tuple(chosen)
 
 
 class TestDimensions:
