@@ -399,20 +399,21 @@ def arrangement_rank(arr: Arrangement) -> int:
     return exactlin.rational_rank(arr.matrix())
 
 
-def nbc_sets(arr: Arrangement, layer: Layer,
-             _memo: Optional[dict] = None) -> list[tuple[int, ...]]:
+def nbc_sets(arr: Arrangement, layer: Layer, _memo: Optional[dict] = None,
+             rank_cache: Optional[_RankCache] = None) -> list[tuple[int, ...]]:
     """Full-rank index sets associated to the layer with no broken circuit.
 
     The matroid is the one of the divisors containing the layer, with the
     global column order.  Enumeration walks the no-broken-circuit complex,
-    which is closed under subsets, so pruning is safe.
+    which is closed under subsets, so pruning is safe.  A caller that
+    enumerates many layers passes one ``rank_cache`` for all of them.
     """
     ground = sorted(layer.flat)
     if _memo is not None:
         got = _memo.get((layer.flat, layer.rank))
         if got is not None:
             return got
-    cache = _RankCache(arr)
+    cache = rank_cache if rank_cache is not None else _RankCache(arr)
     target = layer.rank
     out: list[tuple[int, ...]] = []
 

@@ -9,6 +9,13 @@ per-layer reduction maps.
 A monomial is a tuple (layer_id, iset, syms) with syms a sorted tuple of
 (column, kind) pairs, kind 0 for the x-side and 1 for the y-side of the
 curve.  Elements are sparse dicts monomial -> int or Fraction.
+
+Page 3 is ranked per torus weight a = #x - #y.  The swap sigma of x and y
+maps each basis monomial to a basis monomial, up to the sign of re-sorting
+its symbols, and d(sigma m) = -sigma(d m): d wedges in x_j ^ y_j, and
+y_j ^ x_j = -x_j ^ y_j.  So the weight -a block of d has the rank of the
+weight a block, and only a >= 0 is built.  Ranks stream: each block's
+columns are built, ranked and dropped, and only ``d`` caches images.
 """
 
 from __future__ import annotations
@@ -84,10 +91,13 @@ class BigradedDGA:
         self.n = arrangement.n
         self.poset = poset if poset is not None else arr_mod.build_poset(arrangement)
         self._nbc_memo: dict = {}
+        self._rank_cache = arr_mod._RankCache(arrangement)
         self._nbc: dict[int, list[tuple[int, ...]]] = {}
         self._coframe: dict[int, tuple[int, ...]] = {}
         self._reduction: dict[int, list[list[Fraction]]] = {}
         self._red_col: dict[tuple[int, int], tuple[int | Fraction, ...]] = {}
+        self._sym_form: dict[tuple[int, tuple[Symbol, ...]], dict] = {}
+        self._xy_form: dict[tuple[int, int], dict] = {}
         self._basis: dict[tuple[int, int], list[Monomial]] = {}
         self._index: dict[tuple[int, int], dict[Monomial, int]] = {}
         self._straight: dict[tuple[frozenset, tuple[int, ...]], dict] = {}
@@ -102,7 +112,7 @@ class BigradedDGA:
         got = self._nbc.get(layer_id)
         if got is None:
             got = arr_mod.nbc_sets(self.arrangement, self.poset.layers[layer_id],
-                                   self._nbc_memo)
+                                   self._nbc_memo, self._rank_cache)
             self._nbc[layer_id] = got
         return got
 
@@ -175,19 +185,28 @@ class BigradedDGA:
             self._red_col[key] = got
         return got
 
-    def _one_form_terms(self, layer_id: int, sym: Symbol):
-        col, kind = sym
+    def _symbol_form(self, layer_id: int, col: int, kind: int) -> dict:
         lam = self.reduce_column(layer_id, col)
         cofr = self.coframe(layer_id)
-        return [((cofr[u], kind), lam[u]) for u in range(len(cofr)) if lam[u]]
+        return {((cofr[u], kind),): lam[u] for u in range(len(cofr)) if lam[u]}
 
     def _reduce_symbols(self, layer_id: int, syms: Sequence[Symbol]) -> dict:
+        """The product of the symbols' forms, in the layer's coframe."""
         form = {(): 1}
-        for sym in syms:
-            terms = self._one_form_terms(layer_id, sym)
-            form = wedge_forms(form, {(t,): c for t, c in terms})
+        for col, kind in syms:
+            form = wedge_forms(form, self._symbol_form(layer_id, col, kind))
             if not form:
                 break
+        return form
+
+    def _x_wedge_y(self, layer_id: int, col: int) -> dict:
+        """x_col ^ y_col in the layer's coframe, memoized per (layer, col)."""
+        key = (layer_id, col)
+        form = self._xy_form.get(key)
+        if form is None:
+            form = wedge_forms(self._symbol_form(layer_id, col, 0),
+                               self._symbol_form(layer_id, col, 1))
+            self._xy_form[key] = form
         return form
 
     # ----- bases -------------------------------------------------------
@@ -258,7 +277,7 @@ class BigradedDGA:
         got = self._straight.get(key)
         if got is not None:
             return got
-        cache = arr_mod._RankCache(self.arrangement)
+        cache = self._rank_cache
         ground = sorted(layer.flat)
 
         def broken(chain: tuple[int, ...]):
@@ -312,6 +331,14 @@ class BigradedDGA:
     # ----- differential ---------------------------------------------------
 
     def d_monomial(self, mono: Monomial) -> Element:
+        """Image under the rank-lowering differential, cached per monomial."""
+        got = self._d_cache.get(mono)
+        if got is None:
+            got = self._image(mono)
+            self._d_cache[mono] = got
+        return got
+
+    def _image(self, mono: Monomial) -> Element:
         """Image under the rank-lowering differential, in the chosen basis.
 
         The coefficient of each term carries the reciprocal of the number of
@@ -321,30 +348,26 @@ class BigradedDGA:
         sections the factor is 1, the naive formula survives and integral
         coefficients stay ints).
         """
-        got = self._d_cache.get(mono)
-        if got is not None:
-            return got
         lid, iset, syms = mono
         out: Element = {}
-        p = len(syms)
-        lead = -1 if p % 2 else 1
+        lead = -1 if len(syms) % 2 else 1
         for pos, j in enumerate(iset):
             rest = iset[:pos] + iset[pos + 1:]
-            tau = pos  # |{k in rest : k < j}| since iset is sorted
             sub = self._sublayer_of(lid, rest)
-            ncomp = self._section_components(sub, iset)
-            lead_j = lead if ncomp == 1 else Fraction(lead, ncomp)
-            lam = self.reduce_column(sub, j)
-            cofr = self.coframe(sub)
-            xside = {((cofr[u], 0),): lam[u] for u in range(len(cofr)) if lam[u]}
-            yside = {((cofr[u], 1),): lam[u] for u in range(len(cofr)) if lam[u]}
-            if not xside or not yside:
+            xy = self._x_wedge_y(sub, j)
+            if not xy:
                 continue
-            form = self._reduce_symbols(sub, syms)
+            # memoized for d only: a product meets its keys about once each
+            form = self._sym_form.get((sub, syms))
+            if form is None:
+                form = self._sym_form[sub, syms] = self._reduce_symbols(sub, syms)
             if not form:
                 continue
-            form = wedge_forms(form, wedge_forms(xside, yside))
-            coeff = lead_j if tau % 2 == 0 else -lead_j
+            form = wedge_forms(form, xy)
+            ncomp = self._section_components(sub, iset)
+            lead_j = lead if ncomp == 1 else Fraction(lead, ncomp)
+            # pos = |{k in rest : k < j}| since iset is sorted
+            coeff = lead_j if pos % 2 == 0 else -lead_j
             for t, c in form.items():
                 key = (sub, rest, t)
                 nc = out.get(key, 0) + coeff * c
@@ -352,11 +375,17 @@ class BigradedDGA:
                     out[key] = nc
                 elif key in out:
                     del out[key]
-        self._d_cache[mono] = out
         return out
 
     def ranks(self, p: int, q: int) -> dict[int, int]:
-        """Exact rank of d: (p,q) -> (p+2,q-1), per weight block."""
+        """Exact rank of d: (p,q) -> (p+2,q-1), per weight block.
+
+        Only the blocks of weight a >= 0 are built; block -a has the rank
+        of block a, since the x<->y swap maps basis to signed basis and
+        anticommutes with d.  Columns stream: each block's images are built
+        for its rank and dropped, reusing images ``d`` has cached but
+        caching none.
+        """
         key = (p, q)
         got = self._ranks.get(key)
         if got is not None:
@@ -364,13 +393,21 @@ class BigradedDGA:
         out: dict[int, int] = {}
         if q >= 1 and self.dim(p, q) and self.dim(p + 2, q - 1):
             tgt_index = self.index(p + 2, q - 1)
-            by_weight: dict[int, list[dict[int, int | Fraction]]] = {}
+            by_weight: dict[int, list[Monomial]] = {}
             for mono in self.basis(p, q):
-                col = {tgt_index[m]: c for m, c in self.d_monomial(mono).items()}
-                if col:
-                    by_weight.setdefault(self.weight_of(mono), []).append(col)
-            for a, cols in by_weight.items():
-                out[a] = exactlin.sparse_rank(cols)
+                a = self.weight_of(mono)
+                if a >= 0:
+                    by_weight.setdefault(a, []).append(mono)
+            for a, monos in by_weight.items():
+                cols = []
+                for mono in monos:
+                    image = self._d_cache.get(mono)
+                    if image is None:
+                        image = self._image(mono)
+                    if image:
+                        cols.append({tgt_index[m]: c for m, c in image.items()})
+                if cols:
+                    out[a] = out[-a] = exactlin.sparse_rank(cols)
         self._ranks[key] = out
         return out
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ellarr import arrangement as arr_mod
-from ellarr import braid, exactlin
+from ellarr import braid, cohomology, exactlin
 from ellarr.arrangement import Arrangement
 from ellarr.model import (BigradedDGA, ModelError, TensorModel, add, scale,
                           sub, merge_sign)
@@ -35,14 +35,17 @@ def braid5():
     return braid.braid_model(5)
 
 
+def offset_arrangement():
+    """Essential rank-2 arrangement with a disconnected pair section."""
+    return Arrangement(2, ((1, 0), (1, 2), (0, 1)),
+                       ((Fraction(0), Fraction(0)),
+                        (Fraction(1, 2), Fraction(0)),
+                        (Fraction(0), Fraction(1, 3))))
+
+
 @pytest.fixture(scope="module")
 def offset_model():
-    """Essential rank-2 arrangement with a disconnected pair section."""
-    arr = Arrangement(2, ((1, 0), (1, 2), (0, 1)),
-                      ((Fraction(0), Fraction(0)),
-                       (Fraction(1, 2), Fraction(0)),
-                       (Fraction(0), Fraction(1, 3))))
-    return BigradedDGA(arr)
+    return BigradedDGA(offset_arrangement())
 
 
 class TestModuleApi:
@@ -351,3 +354,74 @@ class TestTensorModel:
                 e = braid.coordinate_form(full, 3, v, kind)
                 cols.append({idx[m]: c for m, c in e.items()})
         assert exactlin.sparse_rank(cols) == 6
+
+
+# Fresh models with an empty image cache: the fixtures above are shared, and
+# an earlier test may have filled theirs through ``d``.
+FRESH_MODELS = {
+    "braid4": lambda: BigradedDGA(braid.braid_quotient(4)[0]),
+    "braid5": lambda: BigradedDGA(braid.braid_quotient(5)[0]),
+    "example_k5": lambda: BigradedDGA(Arrangement(2, ((1, 0), (1, 5), (2, 5)))),
+    "offset_model": lambda: BigradedDGA(offset_arrangement()),
+}
+
+
+def rank_bidegrees(dga):
+    return [(p, q) for p, q in dga.bidegrees()
+            if q >= 1 and dga.dim(p, q) and dga.dim(p + 2, q - 1)]
+
+
+def swap_xy(elem):
+    """The x<->y swap, re-sorting each monomial's symbols with its sign."""
+    out = {}
+    for (lid, iset, syms), c in elem.items():
+        swapped = [(col, 1 - kind) for col, kind in syms]
+        inversions = sum(1 for i in range(len(swapped))
+                         for j in range(i + 1, len(swapped))
+                         if swapped[i] > swapped[j])
+        key = (lid, iset, tuple(sorted(swapped)))
+        out[key] = -c if inversions % 2 else c
+    return out
+
+
+class TestWeightSymmetry:
+    """ranks builds only the weight a >= 0 blocks and mirrors them to -a."""
+
+    @pytest.mark.parametrize("name", sorted(FRESH_MODELS))
+    def test_ranks_match_both_sign_oracle(self, name):
+        dga = FRESH_MODELS[name]()
+        got = {pq: dga.ranks(*pq) for pq in rank_bidegrees(dga)}
+        mirrored = 0
+        for (p, q), ranks in got.items():
+            tgt_index = dga.index(p + 2, q - 1)
+            blocks: dict = {}
+            for mono in dga.basis(p, q):
+                col = [0] * len(tgt_index)
+                for m, c in dga.d_monomial(mono).items():
+                    col[tgt_index[m]] = c
+                blocks.setdefault(dga.weight_of(mono), []).append(col)
+            for a, cols in blocks.items():
+                want = len(exactlin.rref(cols)[1])
+                assert ranks.get(a, 0) == want, (p, q, a)
+                mirrored += a < 0 and want > 0
+        assert mirrored
+
+    @pytest.mark.parametrize("name", sorted(FRESH_MODELS))
+    def test_swap_anticommutes_with_d(self, name):
+        dga = FRESH_MODELS[name]()
+        for mono in all_monomials(dga):
+            image = dga.d(swap_xy({mono: 1}))
+            assert not add(image, swap_xy(dga.d({mono: 1}))), mono
+
+
+class TestStreamingRanks:
+    def test_page3_caches_no_image(self):
+        dga = FRESH_MODELS["braid5"]()
+        cohomology.page3_table(dga)
+        assert dga._d_cache == {}
+        before = dict(dga._ranks)
+        for mono in all_monomials(dga):
+            dga.d({mono: ONE})
+        assert len(dga._d_cache) == dga.total_dimension()
+        dga._ranks.clear()
+        assert {pq: dga.ranks(*pq) for pq in before} == before
