@@ -2,27 +2,26 @@
 
 Vertices are 1-based; the divisor for a pair (i, j), i < j, is the diagonal
 P_i = P_j, and divisors are ordered lexicographically by (i, j).  The model
-is always built on the translation-reduced quotient, whose coordinates are
-the consecutive differences; in those coordinates the pair (i, j) becomes
-the 0/1 interval vector supported on i..j-1, which keeps every computation
-integral.
+is ``cohomology.full_model`` of the diagonal arrangement: ``essentialize``
+splits off the one curve factor of translations and leaves the core in the
+consecutive differences, where the pair (i, j) becomes the 0/1 interval
+vector supported on i..j-1, which keeps every computation integral.  The
+circuit cocycles read their one-forms off the model's transform, so nothing
+here depends on which core coordinates it chose.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from . import exactlin
+from . import cohomology, exactlin
 from .arrangement import Arrangement
 from .model import BigradedDGA, Element, TensorModel, add, scale
 from .reptheory import (LABEL_DEGREE, LABEL_WEIGHT, LABELS,
                         conjugate_partition, schur_dimension)
-
-_ONE = Fraction(1)
 
 
 # ----- arrangements ------------------------------------------------------
@@ -50,29 +49,14 @@ def braid_arrangement(n: int) -> Arrangement:
     return Arrangement(n, tuple(cols))
 
 
-def braid_quotient(n: int) -> tuple[Arrangement, list[list[int]]]:
-    """Essential quotient in difference coordinates plus the row transform.
-
-    The transform U (lower triangular of ones) maps the coordinate classes
-    of the ambient product onto (difference coordinates, diagonal class);
-    U * N has the interval columns on its first n-1 rows and zeros below.
-    """
-    cols = []
-    for i, j in braid_pairs(n):
-        cols.append(tuple(1 if i <= k <= j - 1 else 0 for k in range(1, n)))
-    transform = [[1 if c <= r else 0 for c in range(n)] for r in range(n)]
-    return Arrangement(n - 1, tuple(cols)), transform
-
-
-@lru_cache(maxsize=None)
-def braid_model(n: int) -> BigradedDGA:
-    return BigradedDGA(braid_quotient(n)[0])
-
-
 @lru_cache(maxsize=None)
 def braid_full_model(n: int) -> TensorModel:
-    core, transform = braid_quotient(n)
-    return TensorModel(braid_model(n), 1, transform)
+    return cohomology.full_model(braid_arrangement(n))
+
+
+def braid_model(n: int) -> BigradedDGA:
+    """Essential core of the braid model (the translation-reduced quotient)."""
+    return braid_full_model(n).core
 
 
 # ----- Stirling numbers ---------------------------------------------------
@@ -384,44 +368,38 @@ def standard_circuits(n: int, k: int) -> list[Circuit]:
     return out
 
 
-def circuit_cocycles(model: BigradedDGA, n: int, circuit: Circuit
+def circuit_cocycles(full: TensorModel, circuit: Circuit
                      ) -> tuple[Element, Element]:
-    """The two closed degree-(1, k-2) elements attached to a circuit."""
+    """The two closed degree-(1, k-2) core elements attached to a circuit.
+
+    The one-form of x_t - x_s is read in core coordinates as the difference
+    of columns t and s of the transform; it is a divisor column, so its
+    image vanishes below the core rows.
+    """
+    core, u, n = full.core, full.transform, full.ambient_n
     k = len(circuit)
-    outs = []
-    for kind in (0, 1):
-        total: Element = {}
-        for i in range(k):
-            for j in range(i + 1, k):
-                s, t = circuit.edges[i]
-                vec = [0] * (n - 1)
-                # x_t - x_s in difference coordinates: signed interval
-                lo, hi = min(s, t), max(s, t)
-                sgn = 1 if t < s else -1   # x_t - x_s = sum of u over [t, s-1]
-                for c in range(lo, hi):
-                    vec[c - 1] = sgn
-                form = (model.one_form(vec, None) if kind == 0
-                        else model.one_form(None, vec))
-                rest = [circuit.edges[a] for a in range(k) if a not in (i, j)]
-                om = omega_of_edge_list(model, n, rest)
-                term = model.multiply(form, om)
-                sign = -1 if (i + j) % 2 else 1
-                total = add(total, scale(term, sign))
-        outs.append(total)
-    return outs[0], outs[1]
+    lc: Element = {}
+    lcp: Element = {}
+    for i in range(k):
+        s, t = circuit.edges[i]
+        vec = [u[r][t - 1] - u[r][s - 1] for r in range(core.n)]
+        fx, fy = core.one_form(vec, None), core.one_form(None, vec)
+        for j in range(i + 1, k):
+            rest = [circuit.edges[a] for a in range(k) if a not in (i, j)]
+            om = omega_of_edge_list(core, n, rest)
+            sign = -1 if (i + j) % 2 else 1
+            lc = add(lc, scale(core.multiply(fx, om), sign))
+            lcp = add(lcp, scale(core.multiply(fy, om), sign))
+    return lc, lcp
 
 
-def cocycle_span_rank(n: int, q: int) -> int:
+def cocycle_span_rank(full: TensorModel, q: int) -> int:
     """Rank of the span of the standard-circuit cocycles in bidegree (1, q)."""
-    model = braid_model(n)
-    k = q + 2
+    index = full.core.index(1, q)
     vectors = []
-    index = model.index(1, q)
-    for circ in standard_circuits(n, k):
-        lc, lcp = circuit_cocycles(model, n, circ)
-        for elem in (lc, lcp):
-            col = {index[m]: c for m, c in elem.items()}
-            vectors.append(col)
+    for circ in standard_circuits(full.ambient_n, q + 2):
+        for elem in circuit_cocycles(full, circ):
+            vectors.append({index[m]: c for m, c in elem.items()})
     return exactlin.sparse_rank(vectors)
 
 
@@ -432,7 +410,7 @@ def independence_check(n: int, q: int) -> dict:
     also the proven lower bound for the page-3 dimension there.
     """
     count = len(standard_circuits(n, q + 2))
-    rank = cocycle_span_rank(n, q)
+    rank = cocycle_span_rank(braid_full_model(n), q)
     expected = 2 * comb(n, q + 2) * factorial(q)
     return {"vectors": 2 * count, "rank": rank, "expected": expected,
             "ok": rank == expected == 2 * count}

@@ -103,9 +103,8 @@ def _prepare(source):
 
 
 def _is_braid(arr: Arrangement) -> bool:
-    """Is this the diagonal arrangement on n >= 2 coordinates?"""
-    return (arr.n >= 2
-            and arr.columns == braid_mod.braid_arrangement(arr.n).columns)
+    """Is this the untranslated diagonal arrangement on n >= 2 coordinates?"""
+    return arr.n >= 2 and arr == braid_mod.braid_arrangement(arr.n)
 
 
 # Every command takes (source, args, model), where model() returns the
@@ -220,6 +219,9 @@ def cmd_formality(source, args, model) -> dict:
 
 
 def _graph_from_arrangement(arr: Arrangement) -> formality.SimpleGraph:
+    if any(a or b for a, b in arr.offsets):
+        raise InputError("formality needs a graphic arrangement without "
+                         "offsets or a --graph input")
     edges = []
     for col in arr.columns:
         pos = [i + 1 for i, x in enumerate(col) if x == 1]
@@ -229,7 +231,10 @@ def _graph_from_arrangement(arr: Arrangement) -> formality.SimpleGraph:
             raise InputError("formality needs a graphic arrangement "
                              "(columns e_i - e_j) or a --graph input")
         edges.append((pos[0], neg[0]))
-    return formality.SimpleGraph(arr.n, tuple(edges))
+    try:
+        return formality.SimpleGraph(arr.n, tuple(edges))
+    except ValueError as exc:
+        raise InputError("formality: %s" % exc) from exc
 
 
 def cmd_verify_all(source, args, model) -> dict:
@@ -309,7 +314,7 @@ def cmd_verify_all(source, args, model) -> dict:
         check("labelled-forest-counts", forest_ok)
         lc_ok = True
         for q in range(1, n - 1):
-            got = braid_mod.cocycle_span_rank(n, q)
+            got = braid_mod.cocycle_span_rank(model(), q)
             want = 2 * comb(n, q + 2) * factorial(q)
             if got != want:
                 lc_ok = False

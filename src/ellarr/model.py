@@ -567,12 +567,6 @@ class BigradedDGA:
         }
 
 
-def build_model(arrangement: Arrangement,
-                poset: Optional[LayerPoset] = None) -> BigradedDGA:
-    """Model of an essential arrangement (constructor wrapper)."""
-    return BigradedDGA(arrangement, poset)
-
-
 def hodge_weight(p: int, q: int) -> int:
     """Weight tag of the bidegree (the filtration weight is p + 2q)."""
     return p + 2 * q

@@ -145,14 +145,15 @@ def test_criterion_06_second_row_and_antidiagonal(braid_page3):
 def test_criterion_07_circuit_cocycle_suite(braid_models):
     ok = True
     for n in range(3, 7):
-        model = braid_models[n]
+        full = braid.braid_full_model(n)
+        model = full.core
         for k in range(3, n + 1):
             for circ in braid.all_circuits(n, k):
-                lc, lcp = braid.circuit_cocycles(model, n, circ)
+                lc, lcp = braid.circuit_cocycles(full, circ)
                 if model.d(lc) or model.d(lcp):
                     ok = False
         for q in range(1, n - 1):
-            if braid.cocycle_span_rank(n, q) != 2 * comb(n, q + 2) * factorial(q):
+            if braid.cocycle_span_rank(full, q) != 2 * comb(n, q + 2) * factorial(q):
                 ok = False
     report(7, "circuit cocycles closed (all circuits) and standard-span "
               "ranks, n <= 6", ok)

@@ -21,9 +21,18 @@ class TestArrangement:
         assert braid.braid_arrangement(4).size == comb(4, 2)
 
     def test_quotient_intervals(self):
-        arr, transform = braid.braid_quotient(3)
-        assert arr.columns == ((1, 0), (1, 1), (0, 1))
-        assert exactlin.det_int(transform) in (1, -1)
+        # the essential core is the quotient in consecutive differences:
+        # pair (i, j) becomes the interval i..j-1, one curve factor splits off
+        for n in range(2, 8):
+            core, transform, nbars = cohomology.essentialize(
+                braid.braid_arrangement(n))
+            assert core.columns == tuple(
+                tuple(1 if i <= c < j else 0 for c in range(1, n))
+                for i, j in braid.braid_pairs(n))
+            assert transform == [[1 if c <= r else 0 for c in range(n)]
+                                 for r in range(n)]
+            assert exactlin.det_int(transform) in (1, -1)
+            assert nbars == 1
 
 
 class TestStirling:
@@ -177,34 +186,36 @@ class TestCircuits:
 
 class TestCocycles:
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_closed_all_circuits(self, n, braid_models):
-        model = braid_models[n]
+    def test_closed_all_circuits(self, n):
+        full = braid.braid_full_model(n)
+        model = full.core
         for k in range(3, n + 1):
             for circ in braid.all_circuits(n, k):
-                lc, lcp = braid.circuit_cocycles(model, n, circ)
+                lc, lcp = braid.circuit_cocycles(full, circ)
                 assert model.d(lc) == {}
                 assert model.d(lcp) == {}
 
-    def test_bidegree(self, braid_models):
-        model = braid_models[4]
+    def test_bidegree(self):
+        full = braid.braid_full_model(4)
+        model = full.core
         circ = braid.standard_circuits(4, 4)[0]
-        lc, _ = braid.circuit_cocycles(model, 4, circ)
+        lc, _ = braid.circuit_cocycles(full, circ)
         assert {model.bidegree_of(m) for m in lc} == {(1, 2)}
 
-    def test_orientation_reversal_sign(self, braid_models):
+    def test_orientation_reversal_sign(self):
         # sign is (-1)^binom(k-2, 2)
         for n, k in [(4, 3), (4, 4), (5, 5)]:
-            model = braid_models[n]
+            full = braid.braid_full_model(n)
             circ = braid.standard_circuits(n, k)[0]
-            lc, _ = braid.circuit_cocycles(model, n, circ)
-            lr, _ = braid.circuit_cocycles(model, n, circ.reversed())
+            lc, _ = braid.circuit_cocycles(full, circ)
+            lr, _ = braid.circuit_cocycles(full, circ.reversed())
             sign = -1 if comb(k - 2, 2) % 2 else 1
             assert not sub(lr, scale(lc, sign))
 
     @pytest.mark.parametrize("n,q", [(3, 1), (4, 1), (4, 2), (5, 1), (5, 2),
                                      (5, 3)])
     def test_rank_of_standard_span(self, n, q):
-        assert (braid.cocycle_span_rank(n, q)
+        assert (braid.cocycle_span_rank(braid.braid_full_model(n), q)
                 == 2 * comb(n, q + 2) * factorial(q))
 
     def test_independence_report(self):
@@ -216,9 +227,8 @@ class TestCocycles:
         # the deleted-bamboo coefficient on its support
         n = 3
         full = braid.braid_full_model(n)
-        model = braid.braid_model(n)
         circ = braid.Circuit([(3, 2), (2, 1), (1, 3)])
-        lc, lcp = braid.circuit_cocycles(model, n, circ)
+        lc, lcp = braid.circuit_cocycles(full, circ)
         lc_full = full.include_core(lc)
         idx = full.index(1, 1)
         mat = []

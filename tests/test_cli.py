@@ -8,6 +8,11 @@ from ellarr import braid, cli, exactlin
 from ellarr.model import BigradedDGA
 
 
+# Braid columns with one translated divisor: not a braid input.
+TRANSLATED_BRAID3 = ('{"n": 3, "divisors": [[1, -1, 0], [1, 0, -1], [0, 1, -1]], '
+                     '"offsets": [["1/2", "0"], ["0", "0"], ["0", "0"]]}')
+
+
 def run_cli(args):
     import io
     from contextlib import redirect_stdout
@@ -201,6 +206,16 @@ class TestCommands:
         assert code == 0 and data["ok"] is True
         assert "stirling-first-column" not in {c["check"] for c in data["verify"]}
 
+    def test_verify_all_translated_braid_skips_braid_checks(self, tmp_path):
+        path = tmp_path / "translated.json"
+        path.write_text(TRANSLATED_BRAID3)
+        code, out = run_cli(["--input", str(path), "--cmd", "verify-all"])
+        data = json.loads(out)
+        assert code == 0 and data["ok"] is True
+        names = {c["check"] for c in data["verify"]}
+        assert not names & {"first-column-injective", "stirling-first-column",
+                            "labelled-forest-counts", "circuit-cocycle-ranks"}
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, example_file):
@@ -245,7 +260,18 @@ class TestEntryPoint:
         ('{"n": 1, "divisors": [[1], [1]], "offsets": [["0", "0"], ["1/0", "0"]]}',
          "betti", "offsets"),
         ('{"n": 1, "divisors": [[1], [-1]]}', "braid-table", "braid-table"),
-    ], ids=["gcd", "braid-1", "braid-x", "offset-1/0", "braid-table-n1"])
+        (TRANSLATED_BRAID3, "braid-table", "braid-table"),
+        (TRANSLATED_BRAID3, "rep-decompose", "rep-decompose"),
+        ('{"n": 2, "divisors": [[1, -1]], "offsets": [["1/2", "0"]]}',
+         "formality", "offsets"),
+        ('{"n": 2, "divisors": [[1, -1], [1, -1]], '
+         '"offsets": [["0", "0"], ["1/2", "0"]]}', "formality", "offsets"),
+        ('{"n": 2, "divisors": [[1, -1], [1, -1]]}', "formality",
+         "multiple edges"),
+    ], ids=["gcd", "braid-1", "braid-x", "offset-1/0", "braid-table-n1",
+            "braid-table-translated", "rep-decompose-translated",
+            "formality-translated", "formality-repeated-translated",
+            "formality-repeated"])
     def test_error_exit_code(self, tmp_path, content, cmd, message):
         bad = tmp_path / "bad.json"
         bad.write_text(content)
@@ -264,10 +290,11 @@ class TestSharedModel:
 
     @pytest.mark.parametrize("argv", [
         ["--braid", "4", "--cmd", "braid-table"],
+        ["--braid", "4", "--cmd", "verify-all"],
         ["--cmd", "betti", "--verify"],
-    ], ids=["braid-table", "betti-verify"])
+    ], ids=["braid-table", "braid-verify-all", "betti-verify"])
     def test_one_model_per_run(self, monkeypatch, example_file, argv):
-        braid.braid_model.cache_clear()
+        braid.braid_full_model.cache_clear()
         built = []
         init = BigradedDGA.__init__
 

@@ -52,7 +52,7 @@ class TestMoebiusEuler:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_braid_quotients(self, n, braid_models):
-        arr = braid.braid_quotient(n)[0]
+        arr = braid_models[n].arrangement
         chi = cohomology.page2_table(braid_models[n]).euler()
         assert euler_by_moebius(arr) == chi
 
@@ -121,9 +121,10 @@ class TestGraphicCocycles:
     def test_matches_braid_route_on_complete_graph(self):
         gm = formality.GraphicModel(formality.complete_graph(4))
         lc_graph = graphic_circuit_cocycle(gm, (4, 3, 1, 2), 0)
-        model = braid.braid_model(4)
+        full = braid.braid_full_model(4)
+        model = full.core
         circ = braid.Circuit([(4, 3), (3, 1), (1, 2), (2, 4)])
-        lc_braid, _ = braid.circuit_cocycles(model, 4, circ)
+        lc_braid, _ = braid.circuit_cocycles(full, circ)
         # same element after mapping the reduced-model route into a full
         # model: compare through dimensions and pairing-free invariants
         assert len(lc_braid) > 0 and len(lc_graph) > 0

@@ -49,11 +49,6 @@ def offset_model():
 
 
 class TestModuleApi:
-    def test_build_model_wrapper(self, example_arrangement):
-        from ellarr import build_model
-        dga = build_model(example_arrangement)
-        assert dga.total_dimension() == 78
-
     def test_hodge_weight_tag(self):
         from ellarr import hodge_weight
         assert hodge_weight(1, 0) == 1
@@ -359,8 +354,10 @@ class TestTensorModel:
 # Fresh models with an empty image cache: the fixtures above are shared, and
 # an earlier test may have filled theirs through ``d``.
 FRESH_MODELS = {
-    "braid4": lambda: BigradedDGA(braid.braid_quotient(4)[0]),
-    "braid5": lambda: BigradedDGA(braid.braid_quotient(5)[0]),
+    "braid4": lambda: BigradedDGA(
+        cohomology.essentialize(braid.braid_arrangement(4))[0]),
+    "braid5": lambda: BigradedDGA(
+        cohomology.essentialize(braid.braid_arrangement(5))[0]),
     "example_k5": lambda: BigradedDGA(Arrangement(2, ((1, 0), (1, 5), (2, 5)))),
     "offset_model": lambda: BigradedDGA(offset_arrangement()),
 }
