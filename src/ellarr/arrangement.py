@@ -115,29 +115,6 @@ def _pairing(lattice, point) -> tuple[Fraction, ...]:
                  for row in lattice)
 
 
-class _RankCache:
-    """Rank oracle for column subsets of one arrangement."""
-
-    def __init__(self, arr: Arrangement):
-        self.arr = arr
-        self._cache: dict[frozenset[int], int] = {frozenset(): 0}
-
-    def rank(self, indices) -> int:
-        key = frozenset(indices)
-        got = self._cache.get(key)
-        if got is None:
-            got = exactlin.rational_rank(self.arr.submatrix_t(sorted(key)))
-            self._cache[key] = got
-        return got
-
-    def is_independent(self, indices) -> bool:
-        idx = frozenset(indices)
-        return self.rank(idx) == len(idx)
-
-    def in_closure(self, j: int, indices) -> bool:
-        return self.rank(frozenset(indices) | {j}) == self.rank(indices)
-
-
 def independent_sets(arr: Arrangement) -> list[tuple[int, ...]]:
     """All independent column index sets, in lexicographic order.
 
@@ -165,29 +142,37 @@ def circuits(arr: Arrangement) -> list[tuple[int, ...]]:
     independent set, so scanning extensions of the independent sets finds
     them all.
     """
-    cache = _RankCache(arr)
     found: set[tuple[int, ...]] = set()
     for ind in independent_sets(arr):
-        iset = set(ind)
         for e in range(arr.size):
-            if e in iset:
-                continue
-            if cache.in_closure(e, ind):
-                found.add(fundamental_circuit(arr, e, ind))
+            circ = None if e in ind else fundamental_circuit(arr, e, ind)
+            if circ is not None:
+                found.add(circ)
     return sorted(found)
 
 
-def fundamental_circuit(arr: Arrangement, e: int,
-                        independent: Sequence[int]) -> tuple[int, ...]:
-    """The unique circuit inside independent + {e}, given e in its span."""
+def fundamental_circuit(arr: Arrangement, e: int, independent: Sequence[int]
+                        ) -> Optional[tuple[int, ...]]:
+    """The unique circuit inside independent + {e}, or None when e is not
+    in the span of the independent set.
+
+    A member j is in the circuit exactly when e is not in the span of the
+    others, that is, when j has a nonzero coefficient in e's expansion
+    over the independent set.  Each column is extended by a unit vector
+    that records it, so the remainder of e against one integer echelon of
+    the extended columns is zero on the columns' coordinates and holds
+    that expansion, up to scale, on the unit ones.
+    """
     cols = sorted(independent)
-    mat = [[arr.columns[j][i] for j in cols] for i in range(arr.n)]
-    rhs = [[arr.columns[e][i]] for i in range(arr.n)]
-    sol = exactlin.solve_linear(mat, rhs)
-    if sol is None:
-        raise ArrangementError("element %d is not in the span of %s" % (e, cols))
-    members = [e] + [cols[k] for k in range(len(cols)) if sol[k][0]]
-    return tuple(sorted(members))
+    k = len(cols)
+    rows: list = []
+    for t, j in enumerate(cols + [e]):
+        lead, row = exactlin.echelon_reduce(
+            rows, arr.columns[j] + tuple(int(t == s) for s in range(k + 1)))
+        rows.append((lead, row))
+    if lead < arr.n:
+        return None
+    return tuple(sorted([e] + [j for t, j in enumerate(cols) if row[arr.n + t]]))
 
 
 def _components_raw(arr: Arrangement, idx: tuple[int, ...]):
@@ -224,7 +209,7 @@ def components_of(arr: Arrangement, independent: Sequence[int]) -> list[Layer]:
     the elementary divisors.
     """
     idx = tuple(sorted(independent))
-    if not _RankCache(arr).is_independent(idx):
+    if exactlin.rational_rank(arr.submatrix_t(idx)) < len(idx):
         raise ArrangementError("%s is a dependent set" % (idx,))
     layers = []
     for rank, lattice, t1, t2, w1, w2 in _components_raw(arr, idx):
@@ -399,51 +384,44 @@ def arrangement_rank(arr: Arrangement) -> int:
     return exactlin.rational_rank(arr.matrix())
 
 
-def nbc_sets(arr: Arrangement, layer: Layer, _memo: Optional[dict] = None,
-             rank_cache: Optional[_RankCache] = None) -> list[tuple[int, ...]]:
+def nbc_sets(arr: Arrangement, layer: Layer, _memo: Optional[dict] = None
+             ) -> list[tuple[int, ...]]:
     """Full-rank index sets associated to the layer with no broken circuit.
 
     The matroid is the one of the divisors containing the layer, with the
-    global column order.  Enumeration walks the no-broken-circuit complex,
-    which is closed under subsets, so pruning is safe.  A caller that
-    enumerates many layers passes one ``rank_cache`` for all of them.
+    global column order.  A set s1 < ... < sk of that ground is NBC exactly
+    when it is independent and, for every i, no ground element e < s_i
+    outside it lies in span{s_i, ..., s_k}.  Sets grow from the top down:
+    ground elements are prepended in decreasing order with an integer
+    echelon carried along, and a prefix is rejected when the new element
+    lies in the span of the suffix, or some ground element below it lies in
+    the new span.  Output is in lexicographic order.
     """
     ground = sorted(layer.flat)
     if _memo is not None:
         got = _memo.get((layer.flat, layer.rank))
         if got is not None:
             return got
-    cache = rank_cache if rank_cache is not None else _RankCache(arr)
+    cols = [arr.columns[e] for e in ground]
     target = layer.rank
     out: list[tuple[int, ...]] = []
 
-    def has_broken_circuit(iset: tuple[int, ...]) -> bool:
-        mx = iset[-1]
-        for e in ground:
-            if e >= mx:
-                break
-            if e in iset:
-                continue
-            above = tuple(i for i in iset if i > e)
-            if above and cache.in_closure(e, above):
-                return True
-        return False
-
-    def extend(iset: tuple[int, ...]):
-        if len(iset) == target:
-            out.append(iset)
+    def extend(suffix: tuple[int, ...], rows, top: int):
+        if len(suffix) == target:
+            out.append(suffix)
             return
-        start = ground.index(iset[-1]) + 1 if iset else 0
-        for pos in range(start, len(ground)):
-            j = ground[pos]
-            nxt = iset + (j,)
-            if not cache.is_independent(nxt):
+        for pos in range(top - 1, target - len(suffix) - 2, -1):
+            red = exactlin.echelon_reduce(rows, cols[pos])
+            if red is None:
                 continue
-            if has_broken_circuit(nxt):
+            grown = rows + [red]
+            if any(exactlin.echelon_reduce(grown, cols[e]) is None
+                   for e in range(pos)):
                 continue
-            extend(nxt)
+            extend((ground[pos],) + suffix, grown, pos)
 
-    extend(())
+    extend((), [], len(ground))
+    out.sort()
     if _memo is not None:
         _memo[(layer.flat, layer.rank)] = out
     return out

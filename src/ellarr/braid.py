@@ -206,10 +206,23 @@ def labelled_forests(n: int) -> list[tuple[Forest, dict[int, str]]]:
 
 
 def labelled_forest_counts(n: int) -> dict[tuple[int, int], int]:
+    """Bidegree counts of `labelled_forests`, taken per forest.
+
+    A forest with k edges has n - k roots, and its labellings of degree p
+    number the (n - k)-fold convolution of LABEL_DEGREE at p.
+    """
+    by_roots = [{0: 1}]
+    for _ in range(n):
+        conv: dict[int, int] = {}
+        for p, c in by_roots[-1].items():
+            for deg in LABEL_DEGREE.values():
+                conv[p + deg] = conv.get(p + deg, 0) + c
+        by_roots.append(conv)
     counts: dict[tuple[int, int], int] = {}
-    for forest, labels in labelled_forests(n):
-        key = labelled_forest_bidegree(forest, labels)
-        counts[key] = counts.get(key, 0) + 1
+    for k in range(n):
+        forests = len(decreasing_forests(n, k))
+        for p, c in by_roots[n - k].items():
+            counts[(p, k)] = forests * c
     return counts
 
 

@@ -32,8 +32,13 @@ class InputError(ValueError):
 
 def parse_input(path: str):
     """Arrangement or SimpleGraph from a JSON job file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError("%s: %s" % (path, exc.strerror or exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError("%s: not UTF-8 text: %s" % (path, exc)) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -441,8 +446,13 @@ def main(argv=None) -> int:
         return 2
     text = render(result, args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("error: %s: %s" % (args.output, exc.strerror or exc),
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -6,7 +6,9 @@ are sequences.  All functions are pure and return fresh objects, so results
 can be shared freely between threads.
 
 Ranks (`sparse_rank`, `rational_rank`) come from one fraction-free column
-reduction over primitive integer columns; echelon forms, kernels and solves
+reduction over primitive integer columns; inverses (`inv_unimodular` and
+the model's coframe coordinates) from one fraction-free Gauss-Jordan
+elimination, `fraction_free_inverse`; echelon forms, kernels and solves
 from `rref`; Smith forms from `smith_normal_form`.
 """
 
@@ -271,23 +273,43 @@ def solve_linear(m, rhs_cols) -> Optional[list[list[Fraction]]]:
     return sol
 
 
-def inv_unimodular(u: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix (entries stay integral)."""
-    n, c = shape(u)
+def fraction_free_inverse(m: Sequence[Sequence[int]]
+                          ) -> tuple[int, list[list[int]]]:
+    """Inverse of a square nonsingular integer matrix as (den, integer rows).
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [m | I]: step k
+    sets row_i <- (p_k * row_i - a_ik * row_k) / p_(k-1) for every i != k,
+    and each division is exact because every entry is a minor of the
+    augmented matrix.  It ends at [den*I | rows] with den = +-det(m), so
+    m^-1 = rows / den.
+    """
+    n, c = shape(m)
     if n != c:
         raise ValueError("inverse needs a square matrix")
-    sol = solve_linear(u, identity(n))
-    if sol is None:
-        raise ValueError("matrix is singular")
-    out = []
-    for row in sol:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(irow)
-    return out
+    a = [list(map(int, row)) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if a[i][k]), None)
+        if pr is None:
+            raise ValueError("matrix is singular")
+        a[k], a[pr] = a[pr], a[k]
+        piv = a[k]
+        p = piv[k]
+        for i in range(n):
+            f = a[i][k]
+            if i != k and (f or p != prev):
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], piv)]
+        prev = p
+    return prev, [row[n:] for row in a]
+
+
+def inv_unimodular(u: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Exact inverse of a unimodular integer matrix (entries stay integral)."""
+    den, rows = fraction_free_inverse(u)
+    if den not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return [[den * x for x in row] for row in rows]
 
 
 def hermite_row_basis(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

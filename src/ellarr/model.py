@@ -91,10 +91,10 @@ class BigradedDGA:
         self.n = arrangement.n
         self.poset = poset if poset is not None else arr_mod.build_poset(arrangement)
         self._nbc_memo: dict = {}
-        self._rank_cache = arr_mod._RankCache(arrangement)
         self._nbc: dict[int, list[tuple[int, ...]]] = {}
         self._coframe: dict[int, tuple[int, ...]] = {}
-        self._reduction: dict[int, list[list[Fraction]]] = {}
+        self._flat_basis: dict[int, list[int]] = {}
+        self._reduction: dict[int, tuple[int, list[list[int]]]] = {}
         self._red_col: dict[tuple[int, int], tuple[int | Fraction, ...]] = {}
         self._sym_form: dict[tuple[int, tuple[Symbol, ...]], dict] = {}
         self._xy_form: dict[tuple[int, int], dict] = {}
@@ -112,7 +112,7 @@ class BigradedDGA:
         got = self._nbc.get(layer_id)
         if got is None:
             got = arr_mod.nbc_sets(self.arrangement, self.poset.layers[layer_id],
-                                   self._nbc_memo, self._rank_cache)
+                                   self._nbc_memo)
             self._nbc[layer_id] = got
         return got
 
@@ -121,7 +121,8 @@ class BigradedDGA:
 
         Columns are taken in order when independent of the layer's
         equations and the columns taken before; one integer echelon per
-        layer decides each candidate.
+        layer decides each candidate.  The flat columns the echelon keeps
+        are recorded for `_reduction_matrix`.
         """
         got = self._coframe.get(layer_id)
         if got is not None:
@@ -129,9 +130,11 @@ class BigradedDGA:
         layer = self.poset.layers[layer_id]
         columns = self.arrangement.columns
         rows: list = []
+        kept: list[int] = []
         for j in sorted(layer.flat):
             red = exactlin.echelon_reduce(rows, columns[j])
             if red is not None:
+                kept.append(j)
                 rows.append(red)
         chosen: list[int] = []
         need = self.n - layer.rank
@@ -146,42 +149,46 @@ class BigradedDGA:
             raise ModelError("could not frame layer %d" % layer_id)
         got = tuple(chosen)
         self._coframe[layer_id] = got
+        self._flat_basis[layer_id] = kept
         return got
 
-    def _reduction_matrix(self, layer_id: int) -> list[list[Fraction]]:
-        # coframe rows of any particular solution are unique: the coframe
-        # classes are independent modulo the span of the layer's equations
+    def _reduction_matrix(self, layer_id: int) -> tuple[int, list[list[int]]]:
+        """(den, rows): the coframe rows of [B | C]^-1 are rows / den.
+
+        B holds the flat columns the coframe's echelon keeps and C the
+        coframe columns, so [B | C] is square and nonsingular.  Only the
+        coframe rows are stored.  Any solution of the full system (every
+        flat column) has the same coframe rows, since the coframe classes
+        are independent modulo the span of the layer's equations.
+        """
         got = self._reduction.get(layer_id)
         if got is not None:
             return got
-        layer = self.poset.layers[layer_id]
-        flat = sorted(layer.flat)
         cofr = self.coframe(layer_id)
-        cols = flat + list(cofr)
+        cols = self._flat_basis[layer_id] + list(cofr)
         mat = [[self.arrangement.columns[j][i] for j in cols]
                for i in range(self.n)]
-        sol = exactlin.solve_linear(mat, exactlin.identity(self.n))
-        if sol is None:
-            raise ModelError("layer %d equations do not span" % layer_id)
-        rmat = [sol[len(flat) + t] for t in range(len(cofr))]
-        self._reduction[layer_id] = rmat
-        return rmat
+        den, inv = exactlin.fraction_free_inverse(mat)
+        got = self._reduction[layer_id] = (den, inv[self.n - len(cofr):])
+        return got
 
     def reduce_vector(self, layer_id: int, vec: Sequence[Fraction]
                       ) -> tuple[Fraction, ...]:
         """Coordinates of an ambient one-form in the layer's coframe."""
-        rmat = self._reduction_matrix(layer_id)
-        return tuple(sum(row[k] * vec[k] for k in range(self.n) if vec[k])
-                     for row in rmat)
+        den, rows = self._reduction_matrix(layer_id)
+        return tuple(Fraction(sum(x * v for x, v in zip(row, vec) if v), den)
+                     for row in rows)
 
     def reduce_column(self, layer_id: int, col: int) -> tuple[int | Fraction, ...]:
         """Coframe coordinates of one divisor's form; integral ones as ints."""
         key = (layer_id, col)
         got = self._red_col.get(key)
         if got is None:
-            got = tuple(x.numerator if x.denominator == 1 else x
-                        for x in self.reduce_vector(
-                            layer_id, self.arrangement.columns[col]))
+            den, rows = self._reduction_matrix(layer_id)
+            vec = self.arrangement.columns[col]
+            sums = [sum(x * v for x, v in zip(row, vec)) for row in rows]
+            got = tuple(s // den if s % den == 0 else Fraction(s, den)
+                        for s in sums)
             self._red_col[key] = got
         return got
 
@@ -277,7 +284,6 @@ class BigradedDGA:
         got = self._straight.get(key)
         if got is not None:
             return got
-        cache = self._rank_cache
         ground = sorted(layer.flat)
 
         def broken(chain: tuple[int, ...]):
@@ -287,9 +293,9 @@ class BigradedDGA:
                     break
                 if e in chain:
                     continue
-                above = tuple(i for i in chain if i > e)
-                if above and cache.in_closure(e, above):
-                    circ = arr_mod.fundamental_circuit(self.arrangement, e, above)
+                circ = arr_mod.fundamental_circuit(
+                    self.arrangement, e, [i for i in chain if i > e])
+                if circ is not None:
                     bc = tuple(sorted(set(circ) - {e}))
                     if best is None or bc > best[1]:
                         best = (circ, bc)

@@ -80,6 +80,14 @@ class TestForests:
         counts = braid.labelled_forest_counts(4)
         assert sum(v for (p, q), v in counts.items() if q == 2) == total
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_labelled_counts_match_enumeration(self, n):
+        want = {}
+        for forest, labels in braid.labelled_forests(n):
+            key = braid.labelled_forest_bidegree(forest, labels)
+            want[key] = want.get(key, 0) + 1
+        assert braid.labelled_forest_counts(n) == want
+
 
 class TestForestElements:
     @pytest.mark.parametrize("n", [3, 4])

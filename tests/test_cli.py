@@ -284,6 +284,23 @@ class TestEntryPoint:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert message in lines[0]
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8",
+                                      "output-dir"])
+    def test_file_error_exit_code(self, tmp_path, case):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        argv = {"missing": ["--input", str(tmp_path / "none.json")],
+                "directory": ["--input", str(tmp_path)],
+                "not-utf8": ["--input", str(bad)],
+                "output-dir": ["--braid", "2", "--output",
+                               str(tmp_path / "none" / "x.json")]}[case]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ellarr.cli"] + argv,
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestSharedModel:
     """Each run builds the input's model once and computes only what it prints."""

@@ -182,6 +182,44 @@ class TestHermiteAndSaturation:
         assert not exactlin.in_row_span(basis, [0, 1, 0])
 
 
+class TestFractionFreeInverse:
+    """(den, rows) from the fraction-free Gauss-Jordan against `rref`."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_rref(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if exactlin.det_int(m) == 0:
+            with pytest.raises(ValueError):
+                exactlin.fraction_free_inverse(m)
+            return
+        den, rows = exactlin.fraction_free_inverse(m)
+        assert abs(den) == abs(exactlin.det_int(m))
+        red, pivots = exactlin.rref([row + [int(i == j) for j in range(n)]
+                                     for i, row in enumerate(m)])
+        assert pivots == list(range(n))
+        assert [[Fraction(x, den) for x in row] for row in rows] == [
+            row[n:] for row in red]
+
+    def test_signed_den(self):
+        # det -2: rows / den is the inverse only with den's sign kept
+        m = [[0, 1], [2, 0]]
+        den, rows = exactlin.fraction_free_inverse(m)
+        inv = [[Fraction(x, den) for x in row] for row in rows]
+        assert exactlin.mat_mul(m, inv) == exactlin.identity(2)
+
+    def test_unimodular(self):
+        u = [[2, 1, 0], [1, 1, 0], [0, 3, -1]]
+        inv = exactlin.inv_unimodular(u)
+        assert all(type(x) is int for row in inv for x in row)
+        assert exactlin.mat_mul(u, inv) == exactlin.identity(3)
+        with pytest.raises(ValueError):
+            exactlin.inv_unimodular([[2, 0], [0, 1]])
+        with pytest.raises(ValueError):
+            exactlin.inv_unimodular([[1, 2], [2, 4]])
+
+
 class TestSparseRank:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_dense(self, seed):
