@@ -14,7 +14,6 @@ of each distinct lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -28,28 +27,53 @@ class ArrangementError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Frozen:
+    """Base of the package's immutable records.
+
+    ``__init__`` takes the slots in order and sets each once with
+    ``object.__setattr__``; assigning or deleting an attribute afterwards
+    raises ``AttributeError``.  Copies and pickles go through ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to %s.%s"
+                             % (type(self).__name__, name))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete %s.%s"
+                             % (type(self).__name__, name))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (k, getattr(self, k)) for k in self.__slots__))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, k) for k in self.__slots__)
+
+
+class Arrangement(Frozen):
     """n-dimensional ambient, one integer column per divisor.
 
     Columns must be nonzero with coprime entries (a divisor is connected
     exactly when the gcd of its coefficients is 1).  The column order is
     fixed and meaningful: broken circuits, bases and signs depend on it.
+    Offsets are normalised mod 1, with all zeros when none are given.
+    Arrangements compare and hash by value.
     """
 
-    n: int
-    columns: tuple[tuple[int, ...], ...]
-    offsets: tuple[Offset, ...] = ()
+    __slots__ = ("n", "columns", "offsets")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, columns: tuple[tuple[int, ...], ...],
+                 offsets: tuple[Offset, ...] = ()):
+        if n < 0:
             raise ArrangementError("ambient dimension must be >= 0")
-        cols = tuple(tuple(int(x) for x in c) for c in self.columns)
-        object.__setattr__(self, "columns", cols)
+        cols = tuple(tuple(int(x) for x in c) for c in columns)
         for k, c in enumerate(cols):
-            if len(c) != self.n:
+            if len(c) != n:
                 raise ArrangementError(
-                    "column %d has length %d, expected %d" % (k, len(c), self.n))
+                    "column %d has length %d, expected %d" % (k, len(c), n))
             g = 0
             for x in c:
                 g = gcd(g, abs(x))
@@ -57,14 +81,25 @@ class Arrangement:
                 raise ArrangementError(
                     "column %d has gcd %d; a divisor is connected only if the "
                     "gcd of its coefficients is 1" % (k, g))
-        if self.offsets:
+        if offsets:
             offs = tuple((Fraction(a) % 1, Fraction(b) % 1)
-                         for a, b in self.offsets)
+                         for a, b in offsets)
         else:
             offs = tuple((Fraction(0), Fraction(0)) for _ in cols)
         if len(offs) != len(cols):
             raise ArrangementError("need one offset per divisor")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "offsets", offs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n == other.n and self.columns == other.columns
+                and self.offsets == other.offsets)
+
+    def __hash__(self):
+        return hash((self.n, self.columns, self.offsets))
 
     @property
     def size(self) -> int:
@@ -80,23 +115,27 @@ class Arrangement:
         return [list(self.columns[i]) for i in indices]
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(Frozen):
     """A connected component of a divisor intersection.
 
     ``lattice`` is the Hermite basis of the saturated equation lattice and
     ``t1``/``t2`` are the lattice pairings of any point of the layer, per
     circle coordinate; together they determine the layer as a point set.
+    Layers compare by identity: a poset holds one object per layer, and
+    ``key`` is the value to compare across posets.
     """
 
-    rank: int
-    lattice: tuple[tuple[int, ...], ...]
-    t1: tuple[Fraction, ...]
-    t2: tuple[Fraction, ...]
-    witness1: tuple[Fraction, ...]
-    witness2: tuple[Fraction, ...]
-    flat: frozenset[int] = field(compare=False)
-    index: int = field(default=-1, compare=False)
+    __slots__ = ("rank", "lattice", "t1", "t2", "witness1", "witness2",
+                 "flat", "index")
+
+    def __init__(self, rank: int, lattice: tuple[tuple[int, ...], ...],
+                 t1: tuple[Fraction, ...], t2: tuple[Fraction, ...],
+                 witness1: tuple[Fraction, ...], witness2: tuple[Fraction, ...],
+                 flat: frozenset[int], index: int = -1):
+        for name, value in zip(Layer.__slots__, (rank, lattice, t1, t2,
+                                                 witness1, witness2, flat,
+                                                 index)):
+            object.__setattr__(self, name, value)
 
     @property
     def key(self):

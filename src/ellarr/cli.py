@@ -2,32 +2,49 @@
 
 Inputs are JSON files with either an explicit defining matrix (``n``,
 ``divisors``, optional ``offsets`` with entries like "2/5" per circle
-coordinate), a ``graph`` object, or a ``braid`` count.  All rationals in
-the output are serialized as strings "p/q"; tables are sparse with "p,q"
-keys.  Identical inputs produce byte-identical JSON.
+coordinate), a ``graph`` object, or a ``braid`` count.  Counts and matrix
+entries must be JSON integers and offsets strings or integers: nothing is
+truncated or rounded.  All rationals in the output are serialized as
+strings "p/q"; tables are sparse with "p,q" keys.  Identical inputs produce
+byte-identical JSON.
+
+A run is often a short process of its own, so the modules only some
+commands or input kinds use (``braid``, ``reptheory``, ``formality``,
+``csv``, ``random``) are imported where they are used.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
-import random
 import sys
 from fractions import Fraction
 from math import comb, factorial
 
 from . import arrangement as arr_mod
-from . import braid as braid_mod
-from . import cohomology, formality, reptheory
+from . import cohomology
 from .arrangement import Arrangement, ArrangementError
 from .model import BigradedDGA, add, scale, sub
 
 
 class InputError(ValueError):
     pass
+
+
+def _integer(value) -> int:
+    """A JSON integer; floats, bools and strings are refused, not truncated."""
+    if type(value) is not int:
+        raise TypeError("%s is not an integer" % json.dumps(value))
+    return value
+
+
+def _rational(value) -> Fraction:
+    """An offset given as a string like "2/5" or as a JSON integer."""
+    if type(value) is not int and not isinstance(value, str):
+        raise TypeError("%s is not a string or an integer" % json.dumps(value))
+    return Fraction(value)
 
 
 def parse_input(path: str):
@@ -51,21 +68,23 @@ def parse_input(path: str):
         raise InputError("%s: need exactly one of 'divisors', 'graph', 'braid'"
                          % path)
     if "braid" in data:
+        from . import braid as braid_mod
         try:
-            return braid_mod.braid_arrangement(int(data["braid"]))
+            return braid_mod.braid_arrangement(_integer(data["braid"]))
         except (TypeError, ValueError) as exc:
             raise InputError("%s: bad braid count: %s" % (path, exc)) from exc
     if "graph" in data:
+        from . import formality
         g = data["graph"]
         try:
-            return formality.SimpleGraph(int(g["vertices"]),
-                                         tuple((int(a), int(b))
+            return formality.SimpleGraph(_integer(g["vertices"]),
+                                         tuple((_integer(a), _integer(b))
                                                for a, b in g["edges"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError("%s: bad graph: %s" % (path, exc)) from exc
     try:
-        n = int(data["n"])
-        divisors = [tuple(int(x) for x in col) for col in data["divisors"]]
+        n = _integer(data["n"])
+        divisors = [tuple(_integer(x) for x in col) for col in data["divisors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("%s: bad matrix input: %s" % (path, exc)) from exc
     for k, col in enumerate(divisors):
@@ -75,7 +94,7 @@ def parse_input(path: str):
     offsets = ()
     if "offsets" in data:
         try:
-            offsets = tuple((Fraction(a), Fraction(b))
+            offsets = tuple((_rational(a), _rational(b))
                             for a, b in data["offsets"])
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError("%s: bad offsets: %s" % (path, exc)) from exc
@@ -102,14 +121,19 @@ def _weights_json(table: cohomology.BettiTable) -> dict:
 
 
 def _prepare(source):
-    if isinstance(source, formality.SimpleGraph):
-        return formality.graphic_arrangement(source), source
-    return source, None
+    """(arrangement, graph or None) of an input."""
+    if isinstance(source, Arrangement):
+        return source, None
+    from . import formality
+    return formality.graphic_arrangement(source), source
 
 
 def _is_braid(arr: Arrangement) -> bool:
     """Is this the untranslated diagonal arrangement on n >= 2 coordinates?"""
-    return arr.n >= 2 and arr == braid_mod.braid_arrangement(arr.n)
+    if arr.n < 2:
+        return False
+    from . import braid as braid_mod
+    return arr == braid_mod.braid_arrangement(arr.n)
 
 
 # Every command takes (source, args, model), where model() returns the
@@ -157,6 +181,7 @@ def cmd_braid_table(source, args, model) -> dict:
     n = arr.n
     if not _is_braid(arr):
         raise InputError("braid-table needs a braid input (use --braid N)")
+    from . import braid as braid_mod
     t2, t3 = cohomology.betti_tables(model())
     t3core = cohomology.page3_table(model().core)
     expected = braid_mod.expected_dims(n)
@@ -191,6 +216,7 @@ def cmd_rep_decompose(source, args, model) -> dict:
         raise InputError("rep-decompose needs a braid input (use --braid N)")
     if n > args.rep_bound:
         raise InputError("n=%d exceeds --rep-bound %d" % (n, args.rep_bound))
+    from . import reptheory
     t2 = cohomology.tensor_with_curve(cohomology.page2_table(model().core),
                                       model().nbars)
     reps = {}
@@ -202,10 +228,11 @@ def cmd_rep_decompose(source, args, model) -> dict:
 
 
 def cmd_formality(source, args, model) -> dict:
-    if isinstance(source, formality.SimpleGraph):
-        graph = source
-    else:
+    from . import formality
+    if isinstance(source, Arrangement):
         graph = _graph_from_arrangement(source)
+    else:
+        graph = source
     formal, cert = formality.is_one_formal(graph)
     out = {"graph": {"vertices": graph.n, "edges": [list(e) for e in graph.edges]},
            "formality": {"one_formal": formal}}
@@ -223,7 +250,7 @@ def cmd_formality(source, args, model) -> dict:
     return out
 
 
-def _graph_from_arrangement(arr: Arrangement) -> formality.SimpleGraph:
+def _graph_from_arrangement(arr: Arrangement):
     if any(a or b for a, b in arr.offsets):
         raise InputError("formality needs a graphic arrangement without "
                          "offsets or a --graph input")
@@ -236,6 +263,7 @@ def _graph_from_arrangement(arr: Arrangement) -> formality.SimpleGraph:
             raise InputError("formality needs a graphic arrangement "
                              "(columns e_i - e_j) or a --graph input")
         edges.append((pos[0], neg[0]))
+    from . import formality
     try:
         return formality.SimpleGraph(arr.n, tuple(edges))
     except ValueError as exc:
@@ -275,6 +303,7 @@ def cmd_verify_all(source, args, model) -> dict:
                 circ_ok = False
     check("circuit-relations", circ_ok)
 
+    import random
     rng = random.Random(2718281828)
     monos = [m for (p, q) in dga.bidegrees() for m in dga.basis(p, q)]
     leib_ok = True
@@ -309,6 +338,7 @@ def cmd_verify_all(source, args, model) -> dict:
           "%s vs %s" % (t2.euler(), t3.euler()))
 
     if _is_braid(arr):
+        from . import braid as braid_mod
         n = arr.n
         fc = cohomology.verify_first_column(dga)
         check("first-column-injective", fc["ok"], fc["failures"])
@@ -326,6 +356,7 @@ def cmd_verify_all(source, args, model) -> dict:
         check("circuit-cocycle-ranks", lc_ok)
 
     if graph is not None:
+        from . import formality
         formal, cert = formality.is_one_formal(graph)
         agree = formal == (graph.has_triangle() is None)
         check("formality-criterion", agree)
@@ -372,6 +403,7 @@ def render(result: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(result, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
+        import csv
         rows: list = []
         _flatten("", result, rows)
         buf = io.StringIO()
@@ -423,10 +455,11 @@ def main(argv=None) -> int:
         if args.braid is not None:
             if args.braid < 2:
                 raise InputError("--braid needs N >= 2")
+            from . import braid as braid_mod
             source = braid_mod.braid_arrangement(args.braid)
         elif args.graph is not None:
             source = parse_input(args.graph)
-            if not isinstance(source, formality.SimpleGraph):
+            if isinstance(source, Arrangement):
                 raise InputError("%s does not contain a graph" % args.graph)
         else:
             source = parse_input(args.input)

@@ -12,7 +12,6 @@ one curve, (1, 2, 1), once per factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import arrangement as arr_mod
@@ -21,16 +20,18 @@ from .arrangement import Arrangement
 from .model import BigradedDGA, TensorModel
 
 
-@dataclass
 class BettiTable:
     """Sparse bigraded dimension table, with torus-weight refinement."""
 
-    page: int
-    entries: dict = field(default_factory=dict)           # (p,q) -> dim
-    weights: dict = field(default_factory=dict)           # (p,q) -> {a: dim}
-    ambient_n: int = 0
-    rank: int = 0
-    e_factors: int = 0
+    def __init__(self, page: int, entries: Optional[dict] = None,
+                 weights: Optional[dict] = None, ambient_n: int = 0,
+                 rank: int = 0, e_factors: int = 0):
+        self.page = page
+        self.entries = {} if entries is None else entries   # (p,q) -> dim
+        self.weights = {} if weights is None else weights   # (p,q) -> {a: dim}
+        self.ambient_n = ambient_n
+        self.rank = rank
+        self.e_factors = e_factors
 
     def dim(self, p: int, q: int) -> int:
         return self.entries.get((p, q), 0)

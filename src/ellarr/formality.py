@@ -9,35 +9,33 @@ exists, or the three vanishing cohomology groups when none does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import cohomology, exactlin
-from .arrangement import Arrangement
+from .arrangement import Arrangement, Frozen
 from .model import add
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(Frozen):
     """Loopless graph on vertices 1..n with a sorted edge tuple."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "edges")
 
-    def __post_init__(self):
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         norm = []
-        for a, b in self.edges:
+        for a, b in edges:
             a, b = int(a), int(b)
             if a == b:
                 raise ValueError("loops are not allowed")
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
+            if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError("edge out of range")
             norm.append((min(a, b), max(a, b)))
         if len(set(norm)) != len(norm):
             raise ValueError("multiple edges are not allowed")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     def has_triangle(self) -> Optional[tuple[int, int, int]]:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -28,6 +30,23 @@ class TestValidation:
     def test_offsets_reduced(self):
         a = Arrangement(1, ((1,),), ((Fraction(7, 5), Fraction(-1, 5)),))
         assert a.offsets[0] == (Fraction(2, 5), Fraction(4, 5))
+
+    def test_records_are_immutable_values(self):
+        from ellarr.formality import SimpleGraph
+        a = Arrangement(2, ((1, 0), (1, 5)), ((Fraction(3, 2), 0), (0, 0)))
+        b = Arrangement(2, [[1, 0], [1, 5]], [("1/2", 0), (0, 1)])
+        assert a == b and hash(a) == hash(b)
+        assert a != Arrangement(2, ((1, 0), (1, 5)))
+        layer = arr_mod.build_poset(a).layers[1]
+        graph = SimpleGraph(3, ((2, 1), (3, 2)))
+        for record, field in ((a, "n"), (layer, "index"), (graph, "edges")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            again = pickle.loads(pickle.dumps(record))
+            assert repr(again) == repr(copy.deepcopy(record)) == repr(record)
+        assert pickle.loads(pickle.dumps(a)) == a
 
 
 class TestMatroidData:

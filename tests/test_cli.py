@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -59,6 +60,13 @@ class TestParsing:
             "offsets": [["0", "0"], ["1/2", "0"]]}))
         arr = cli.parse_input(str(path))
         assert str(arr.offsets[1][0]) == "1/2"
+
+    def test_integer_offsets(self, tmp_path):
+        path = tmp_path / "o.json"
+        path.write_text(json.dumps({
+            "n": 1, "divisors": [[1], [1]], "offsets": [[0, 1], [3, "1/2"]]}))
+        arr = cli.parse_input(str(path))
+        assert arr.offsets[1] == (0, Fraction(1, 2))
 
     def test_malformed_column(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -268,10 +276,25 @@ class TestEntryPoint:
          '"offsets": [["0", "0"], ["1/2", "0"]]}', "formality", "offsets"),
         ('{"n": 2, "divisors": [[1, -1], [1, -1]]}', "formality",
          "multiple edges"),
+        ('{"n": 2, "divisors": [[1.5, 0], [0, 1]]}', "betti", "1.5 is not"),
+        ('{"braid": 3.7}', "betti", "braid"),
+        ('{"n": 2.9, "divisors": [[1, 0]]}', "betti", "2.9 is not"),
+        ('{"n": true, "divisors": [[1]]}', "betti", "true is not"),
+        ('{"n": 2, "divisors": [[1, 0], ["1", 1]]}', "betti", "not an integer"),
+        ('{"graph": {"vertices": 3.9, "edges": [[1, 2]]}}', "formality",
+         "graph"),
+        ('{"graph": {"vertices": 3, "edges": [[2, 3.5]]}}', "formality",
+         "graph"),
+        ('{"n": 1, "divisors": [[1]], "offsets": [[0.1, 0]]}', "betti",
+         "offsets"),
+        ('{"n": 1, "divisors": [[1]], "offsets": [["0", true]]}', "betti",
+         "offsets"),
     ], ids=["gcd", "braid-1", "braid-x", "offset-1/0", "braid-table-n1",
             "braid-table-translated", "rep-decompose-translated",
             "formality-translated", "formality-repeated-translated",
-            "formality-repeated"])
+            "formality-repeated", "float-entry", "float-braid", "float-n",
+            "bool-n", "string-entry", "float-vertices",
+            "float-edge", "float-offset", "bool-offset"])
     def test_error_exit_code(self, tmp_path, content, cmd, message):
         bad = tmp_path / "bad.json"
         bad.write_text(content)
@@ -300,6 +323,39 @@ class TestEntryPoint:
         assert proc.returncode == 2 and proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestLeanImports:
+    """A run loads only the modules its command and input kind use.
+
+    Each job runs in a fresh interpreter; what a bare interpreter already
+    holds (``site`` and its preloads) does not count.
+    """
+
+    PROBE = ("import sys\nfrom ellarr import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "sys.stderr.write('\\n'.join(sys.modules))\nsys.exit(code)\n")
+
+    def loaded(self, argv):
+        bare = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nsys.stdout.write('\\n'.join(sys.modules))"],
+            capture_output=True, text=True, timeout=60)
+        proc = subprocess.run([sys.executable, "-c", self.PROBE] + argv,
+                              capture_output=True, text=True, timeout=120)
+        assert bare.returncode == 0 and proc.returncode == 0, proc.stderr
+        return set(proc.stderr.splitlines()) - set(bare.stdout.splitlines())
+
+    def test_matrix_betti(self, example_file):
+        loaded = self.loaded(["--input", example_file, "--cmd", "betti"])
+        assert "ellarr.cohomology" in loaded
+        assert not loaded & {"dataclasses", "inspect", "csv", "ellarr.braid",
+                             "ellarr.reptheory", "ellarr.formality"}
+
+    def test_graph_formality(self, graph_file):
+        loaded = self.loaded(["--graph", graph_file, "--cmd", "formality"])
+        assert "ellarr.formality" in loaded
+        assert not loaded & {"ellarr.braid", "ellarr.reptheory"}
 
 
 class TestSharedModel:

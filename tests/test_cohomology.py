@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -143,6 +145,61 @@ class TestPosetInvariance:
         assert tables_a[0].entries == tables_b[0].entries
         assert tables_a[1].entries == tables_b[1].entries
         assert tables_a[1].weights == tables_b[1].weights
+
+
+class TestPresentationInvariance:
+    """The paper's theorem on random torsion inputs.
+
+    A unimodular change of coordinates, a column permutation and column sign
+    flips (each negating its divisor's offset, so the divisor stays the same
+    set) present the same arrangement up to an automorphism of the ambient
+    product.  The poset of layers is unchanged, so the tables must be too.
+    """
+
+    def test_presentations_agree(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        offset = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3)])
+
+        @st.composite
+        def presented_pairs(draw):
+            n = draw(st.integers(2, 3))
+            m = draw(st.integers(3, 4))
+            pool = [v for v in itertools.product(range(-2, 3), repeat=n)
+                    if gcd(*v) == 1]
+            cols = draw(st.lists(st.sampled_from(pool), min_size=m,
+                                 max_size=m))
+            offs = draw(st.lists(st.tuples(offset, offset), min_size=m,
+                                 max_size=m))
+            # unimodular U: a sign on the first row, then row additions
+            u = [[int(i == j) for j in range(n)] for i in range(n)]
+            if draw(st.booleans()):
+                u[0] = [-x for x in u[0]]
+            for i, j, k in draw(st.lists(st.tuples(
+                    st.integers(0, n - 1), st.integers(0, n - 1),
+                    st.sampled_from([-1, 1])), max_size=3)):
+                if i != j:
+                    u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+            order = draw(st.permutations(range(m)))
+            signs = draw(st.lists(st.sampled_from([1, -1]), min_size=m,
+                                  max_size=m))
+            new_cols, new_offs = [], []
+            for j, s in zip(order, signs):
+                new_cols.append(tuple(
+                    s * sum(r * x for r, x in zip(row, cols[j])) for row in u))
+                new_offs.append((s * offs[j][0], s * offs[j][1]))
+            return (Arrangement(n, tuple(cols), tuple(offs)),
+                    Arrangement(n, tuple(new_cols), tuple(new_offs)))
+
+        @hyp.settings(max_examples=25, deadline=None, derandomize=True)
+        @hyp.given(presented_pairs())
+        def check(pair):
+            (t2a, t3a), (t2b, t3b) = map(cohomology.betti_tables, pair)
+            assert t2a.entries == t2b.entries
+            assert t3a.entries == t3b.entries
+            assert t3a.weights == t3b.weights
+
+        check()
 
 
 class TestTranslatedDivisors:
