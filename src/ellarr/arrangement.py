@@ -14,9 +14,9 @@ of each distinct lattice.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
 
 from . import exactlin
 
@@ -191,7 +191,7 @@ def circuits(arr: Arrangement) -> list[tuple[int, ...]]:
 
 
 def fundamental_circuit(arr: Arrangement, e: int, independent: Sequence[int]
-                        ) -> Optional[tuple[int, ...]]:
+                        ) -> tuple[int, ...] | None:
     """The unique circuit inside independent + {e}, or None when e is not
     in the span of the independent set.
 
@@ -354,7 +354,7 @@ class LayerPoset:
     def layers_associated(self, indices) -> tuple[int, ...]:
         return self.assoc.get(frozenset(indices), ())
 
-    def component_inside(self, indices, inner: int) -> Optional[int]:
+    def component_inside(self, indices, inner: int) -> int | None:
         """The layer associated to ``indices`` containing layer ``inner``."""
         for lid in self.layers_associated(indices):
             if self.leq(lid, inner):
@@ -423,7 +423,7 @@ def arrangement_rank(arr: Arrangement) -> int:
     return exactlin.rational_rank(arr.matrix())
 
 
-def nbc_sets(arr: Arrangement, layer: Layer, _memo: Optional[dict] = None
+def nbc_sets(arr: Arrangement, layer: Layer, _memo: dict | None = None
              ) -> list[tuple[int, ...]]:
     """Full-rank index sets associated to the layer with no broken circuit.
 
@@ -466,7 +466,7 @@ def nbc_sets(arr: Arrangement, layer: Layer, _memo: Optional[dict] = None
     return out
 
 
-def poset_isomorphic(p1: LayerPoset, p2: LayerPoset) -> Optional[dict[int, int]]:
+def poset_isomorphic(p1: LayerPoset, p2: LayerPoset) -> dict[int, int] | None:
     """A rank-preserving order isomorphism, or None.
 
     Candidates are narrowed by iterated refinement of an order-degree

@@ -13,9 +13,9 @@ here depends on which core coordinates it chose.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Sequence
 
 from . import cohomology, exactlin
 from .arrangement import Arrangement

@@ -12,7 +12,7 @@ one curve, (1, 2, 1), once per factor.
 
 from __future__ import annotations
 
-from typing import Optional
+from math import comb
 
 from . import arrangement as arr_mod
 from . import exactlin
@@ -23,15 +23,11 @@ from .model import BigradedDGA, TensorModel
 class BettiTable:
     """Sparse bigraded dimension table, with torus-weight refinement."""
 
-    def __init__(self, page: int, entries: Optional[dict] = None,
-                 weights: Optional[dict] = None, ambient_n: int = 0,
-                 rank: int = 0, e_factors: int = 0):
+    def __init__(self, page: int, entries: dict | None = None,
+                 weights: dict | None = None):
         self.page = page
         self.entries = {} if entries is None else entries   # (p,q) -> dim
         self.weights = {} if weights is None else weights   # (p,q) -> {a: dim}
-        self.ambient_n = ambient_n
-        self.rank = rank
-        self.e_factors = e_factors
 
     def dim(self, p: int, q: int) -> int:
         return self.entries.get((p, q), 0)
@@ -83,28 +79,30 @@ def full_model(arr: Arrangement) -> TensorModel:
     return TensorModel(BigradedDGA(core_arr), nbars, transform)
 
 
-def page2_table(dga: BigradedDGA, max_degree: Optional[int] = None
+def page2_table(dga: BigradedDGA, max_degree: int | None = None
                 ) -> BettiTable:
-    """Basis dimensions per bidegree and torus weight, up to ``max_degree``."""
+    """Basis dimensions per bidegree and torus weight, up to ``max_degree``.
+
+    Counted, not enumerated: each (layer, NBC set) pair of rank q chooses
+    i x-symbols and p - i y-symbols from its k = n - q coframe columns,
+    which gives weight 2i - p.
+    """
     entries = {}
     weights = {}
     for (p, q) in dga.bidegrees():
         if max_degree is not None and p + q > max_degree:
             continue
-        monos = dga.basis(p, q)
-        if not monos:
-            continue
-        entries[(p, q)] = len(monos)
-        wd: dict[int, int] = {}
-        for m in monos:
-            a = dga.weight_of(m)
-            wd[a] = wd.get(a, 0) + 1
-        weights[(p, q)] = wd
-    return BettiTable(page=2, entries=entries, weights=weights,
-                      ambient_n=dga.n, rank=dga.poset.top_rank)
+        pairs = sum(len(dga.nbc(lid)) for lid in dga.poset.by_rank[q])
+        k = dga.n - q
+        wd = {2 * i - p: pairs * comb(k, i) * comb(k, p - i)
+              for i in range(max(0, p - k), min(p, k) + 1)}
+        if pairs and wd:
+            entries[(p, q)] = sum(wd.values())
+            weights[(p, q)] = wd
+    return BettiTable(page=2, entries=entries, weights=weights)
 
 
-def page3_table(dga: BigradedDGA, max_degree: Optional[int] = None
+def page3_table(dga: BigradedDGA, max_degree: int | None = None
                 ) -> BettiTable:
     """Cohomology of (page 2, d) computed by exact ranks, weight by weight.
 
@@ -125,8 +123,7 @@ def page3_table(dga: BigradedDGA, max_degree: Optional[int] = None
         if wd3:
             weights[(p, q)] = wd3
             entries[(p, q)] = sum(wd3.values())
-    return BettiTable(page=3, entries=entries, weights=weights,
-                      ambient_n=dga.n, rank=dga.poset.top_rank)
+    return BettiTable(page=3, entries=entries, weights=weights)
 
 
 def tensor_with_curve(table: BettiTable, nfactors: int) -> BettiTable:
@@ -145,12 +142,10 @@ def tensor_with_curve(table: BettiTable, nfactors: int) -> BettiTable:
                     tgt[a + da] = tgt.get(a + da, 0) + d * mult
         weights = new_w
         entries = {k: sum(v.values()) for k, v in weights.items()}
-    return BettiTable(page=table.page, entries=entries, weights=weights,
-                      ambient_n=table.ambient_n + nfactors, rank=table.rank,
-                      e_factors=table.e_factors + nfactors)
+    return BettiTable(page=table.page, entries=entries, weights=weights)
 
 
-def betti_tables(source, max_degree: Optional[int] = None
+def betti_tables(source, max_degree: int | None = None
                  ) -> tuple[BettiTable, BettiTable]:
     """(page 2, page 3) tables of an arrangement or of its ``full_model``.
 
@@ -186,8 +181,8 @@ def euler_characteristic(source) -> int:
 
 
 def verify_vanishing(arr: Arrangement, page3_full: BettiTable,
-                     page2_core: Optional[BettiTable] = None,
-                     page3_core: Optional[BettiTable] = None) -> dict:
+                     page2_core: BettiTable | None = None,
+                     page3_core: BettiTable | None = None) -> dict:
     """Check the vanishing bound and the support triangles.
 
     Total cohomology must vanish above 2n - r; the core tables must live in

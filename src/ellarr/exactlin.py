@@ -14,21 +14,25 @@ from `rref`; Smith forms from `smith_normal_form`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple, Optional, Sequence
 
 
-class SnfDecomposition(NamedTuple):
+class SnfDecomposition:
     """Smith normal form ``u * m * v = d`` with unimodular ``u``, ``v``.
 
     ``divisors`` is the chain d1 | d2 | ... of positive elementary divisors.
     """
 
-    u: list[list[int]]
-    d: list[list[int]]
-    v: list[list[int]]
-    divisors: tuple[int, ...]
+    __slots__ = ("u", "d", "v", "divisors")
+
+    def __init__(self, u: list[list[int]], d: list[list[int]],
+                 v: list[list[int]], divisors: tuple[int, ...]):
+        self.u = u
+        self.d = d
+        self.v = v
+        self.divisors = divisors
 
 
 def shape(m: Sequence[Sequence]) -> tuple[int, int]:
@@ -250,7 +254,7 @@ def kernel_basis(m) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def solve_linear(m, rhs_cols) -> Optional[list[list[Fraction]]]:
+def solve_linear(m, rhs_cols) -> list[list[Fraction]] | None:
     """Particular solution X with M X = B (columns of B solved jointly).
 
     Free variables are set to zero.  Returns None if any column is

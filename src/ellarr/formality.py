@@ -9,8 +9,8 @@ exists, or the three vanishing cohomology groups when none does.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import cohomology, exactlin
 from .arrangement import Arrangement, Frozen
@@ -38,7 +38,7 @@ class SimpleGraph(Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
-    def has_triangle(self) -> Optional[tuple[int, int, int]]:
+    def has_triangle(self) -> tuple[int, int, int] | None:
         es = set(self.edges)
         for i, j, k in itertools.combinations(range(1, self.n + 1), 3):
             if (i, j) in es and (j, k) in es and (i, k) in es:
@@ -222,7 +222,7 @@ def resonance_membership_page3(source, z) -> bool:
     return solution_dim >= 2
 
 
-def triangle_witness(graph: SimpleGraph) -> Optional[dict]:
+def triangle_witness(graph: SimpleGraph) -> dict | None:
     """Resonance-gap certificate from the smallest triangle, if any."""
     tri = graph.has_triangle()
     if tri is None:

@@ -10,19 +10,43 @@ A monomial is a tuple (layer_id, iset, syms) with syms a sorted tuple of
 (column, kind) pairs, kind 0 for the x-side and 1 for the y-side of the
 curve.  Elements are sparse dicts monomial -> int or Fraction.
 
+Inside the model a product of symbols is an int mask with bit 2*col + kind
+per symbol, so ascending bits are the sorted tuple order.  Wedging a symbol
+onto the right of a mask passes it over the mask's higher bits, so the sign
+is the parity of their popcount.  A mask reduces into a layer's coframe
+symbol by symbol; when it already lies in the layer's frame bits (two per
+coframe column) the form is the mask itself, since a coframe column's
+coordinates are a unit vector.  A layer's coframe lies in the coframe of
+every layer containing it, so a basis monomial's mask never needs reducing
+on the way down, and d needs no reduction but that of x_j ^ y_j.
+
+There is one differential kernel.  Per (layer, NBC set) it lists the terms
+of d that do not depend on the symbols: the sublayer of each index set
+with one divisor removed, that set, the signed 1/#components coefficient
+and x_j ^ y_j as (mask, coeff) terms in the sublayer's coframe.  ``ranks``
+applies it to the masks it enumerates and indexes target rows as the
+(sublayer, set) offset plus the mask's rank among the sublayer's
+combinations; ``d`` applies it to one monomial and turns the masks back
+into symbol tuples.  Products reduce their masks into the target layer.
+
 Page 3 is ranked per torus weight a = #x - #y.  The swap sigma of x and y
 maps each basis monomial to a basis monomial, up to the sign of re-sorting
 its symbols, and d(sigma m) = -sigma(d m): d wedges in x_j ^ y_j, and
 y_j ^ x_j = -x_j ^ y_j.  So the weight -a block of d has the rank of the
 weight a block, and only a >= 0 is built.  Ranks stream: each block's
 columns are built, ranked and dropped, and only ``d`` caches images.
+
+Page 2 is counted, not enumerated: every layer of rank q has a coframe of
+k = n - q columns, so (p, q) has sum |nbc(L)| * C(2k, p) monomials, and
+C(k, i) * C(k, p - i) of each L's choices carry weight 2i - p.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import comb
 
 from . import arrangement as arr_mod
 from . import exactlin
@@ -59,20 +83,45 @@ def merge_sign(left: Sequence, right: Sequence):
     return sign, tuple(out)
 
 
-def wedge_forms(f1: dict, f2: dict) -> dict:
-    """Product of two exterior forms given as {sorted symbol tuple: coeff}."""
-    out: dict = {}
-    for t1, c1 in f1.items():
-        for t2, c2 in f2.items():
-            sign, merged = merge_sign(t1, t2)
-            if sign == 0:
-                continue
-            c = out.get(merged, 0) + sign * c1 * c2
-            if c:
-                out[merged] = c
-            elif merged in out:
-                del out[merged]
-    return out
+def symbol_mask(syms: Sequence[Symbol]) -> int:
+    """The mask of a product of symbols: bit 2*col + kind per symbol."""
+    mask = 0
+    for col, kind in syms:
+        mask |= 1 << (2 * col + kind)
+    return mask
+
+
+def mask_symbols(mask: int) -> tuple[Symbol, ...]:
+    """The sorted symbol tuple of a mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        bit = low.bit_length() - 1
+        out.append((bit >> 1, bit & 1))
+        mask ^= low
+    return tuple(out)
+
+
+def mask_sign(left: int, right: int) -> int:
+    """Sign of sorting the symbols of ``left`` followed by those of
+    ``right``, or 0 when they share one: each symbol of ``right`` passes
+    the symbols of ``left`` above it."""
+    if left & right:
+        return 0
+    passes = 0
+    while right:
+        low = right & -right
+        passes += (left & -(low << 1)).bit_count()
+        right ^= low
+    return -1 if passes & 1 else 1
+
+
+def _lex_ranks(frame: int, size: int) -> dict[int, int]:
+    """Each size-``size`` submask of ``frame`` -> its lexicographic rank,
+    the order ``itertools.combinations`` gives the sorted frame bits."""
+    bits = [1 << b for b in range(frame.bit_length()) if frame >> b & 1]
+    return {sum(combo): i
+            for i, combo in enumerate(itertools.combinations(bits, size))}
 
 
 class ModelError(ValueError):
@@ -82,7 +131,7 @@ class ModelError(ValueError):
 class BigradedDGA:
     """Model of an essential arrangement, built lazily per bidegree."""
 
-    def __init__(self, arrangement: Arrangement, poset: Optional[LayerPoset] = None):
+    def __init__(self, arrangement: Arrangement, poset: LayerPoset | None = None):
         if not arr_mod.is_essential(arrangement):
             raise ModelError(
                 "arrangement is not essential (rank < ambient dimension); "
@@ -96,14 +145,14 @@ class BigradedDGA:
         self._flat_basis: dict[int, list[int]] = {}
         self._reduction: dict[int, tuple[int, list[list[int]]]] = {}
         self._red_col: dict[tuple[int, int], tuple[int | Fraction, ...]] = {}
-        self._sym_form: dict[tuple[int, tuple[Symbol, ...]], dict] = {}
-        self._xy_form: dict[tuple[int, int], dict] = {}
+        self._frames: dict[int, int] = {}
+        self._xy: dict[tuple[int, int], tuple] = {}
+        self._symbols: dict[int, tuple[Symbol, ...]] = {}
         self._basis: dict[tuple[int, int], list[Monomial]] = {}
         self._index: dict[tuple[int, int], dict[Monomial, int]] = {}
         self._straight: dict[tuple[frozenset, tuple[int, ...]], dict] = {}
         self._d_cache: dict[Monomial, Element] = {}
         self._ranks: dict[tuple[int, int], dict[int, int]] = {}
-        self._sublayer: dict[tuple[int, tuple[int, ...]], int] = {}
         self._section_count: dict[tuple[int, tuple[int, ...]], int] = {}
 
     # ----- per-layer data ---------------------------------------------
@@ -192,28 +241,49 @@ class BigradedDGA:
             self._red_col[key] = got
         return got
 
-    def _symbol_form(self, layer_id: int, col: int, kind: int) -> dict:
-        lam = self.reduce_column(layer_id, col)
+    def frame_mask(self, layer_id: int) -> int:
+        """The bits of both symbols of every coframe column of the layer."""
+        got = self._frames.get(layer_id)
+        if got is None:
+            got = 0
+            for col in self.coframe(layer_id):
+                got |= 3 << (2 * col)
+            self._frames[layer_id] = got
+        return got
+
+    def _mask_form(self, layer_id: int, mask: int) -> dict[int, int | Fraction]:
+        """The wedge of the mask's symbols in the layer's coframe.
+
+        Masks inside the frame are their own form; the others are reduced
+        symbol by symbol.
+        """
+        if not mask & ~self.frame_mask(layer_id):
+            return {mask: 1}
         cofr = self.coframe(layer_id)
-        return {((cofr[u], kind),): lam[u] for u in range(len(cofr)) if lam[u]}
-
-    def _reduce_symbols(self, layer_id: int, syms: Sequence[Symbol]) -> dict:
-        """The product of the symbols' forms, in the layer's coframe."""
-        form = {(): 1}
-        for col, kind in syms:
-            form = wedge_forms(form, self._symbol_form(layer_id, col, kind))
-            if not form:
-                break
-        return form
-
-    def _x_wedge_y(self, layer_id: int, col: int) -> dict:
-        """x_col ^ y_col in the layer's coframe, memoized per (layer, col)."""
-        key = (layer_id, col)
-        form = self._xy_form.get(key)
-        if form is None:
-            form = wedge_forms(self._symbol_form(layer_id, col, 0),
-                               self._symbol_form(layer_id, col, 1))
-            self._xy_form[key] = form
+        form = {0: 1}
+        rest = mask
+        while rest and form:
+            low = rest & -rest
+            rest ^= low
+            bit = low.bit_length() - 1
+            lam = self.reduce_column(layer_id, bit >> 1)
+            out: dict = {}
+            for u, x in enumerate(lam):
+                if not x:
+                    continue
+                sym = 1 << (2 * cofr[u] + (bit & 1))
+                above = -(sym << 1)   # appended last, sym passes these bits
+                for m, c in form.items():
+                    if m & sym:
+                        continue
+                    t = m | sym
+                    odd = (m & above).bit_count() % 2
+                    v = out.get(t, 0) + (-c * x if odd else c * x)
+                    if v:
+                        out[t] = v
+                    else:
+                        out.pop(t, None)
+            form = out
         return form
 
     # ----- bases -------------------------------------------------------
@@ -249,14 +319,19 @@ class BigradedDGA:
         return out
 
     def dim(self, p: int, q: int) -> int:
-        return len(self.basis(p, q))
+        """Number of basis monomials, counted: see the module docstring."""
+        if p < 0 or q < 0:
+            return 0
+        pairs = sum(len(self.nbc(lid)) for lid in self.poset.by_rank.get(q, ()))
+        return pairs * comb(2 * (self.n - q), p)
 
     def index(self, p: int, q: int) -> dict[Monomial, int]:
         self.basis(p, q)
         return self._index[(p, q)]
 
     def total_dimension(self) -> int:
-        return sum(self.dim(p, q) for p, q in self.bidegrees())
+        """Number of enumerated basis monomials, over every bidegree."""
+        return sum(len(self.basis(p, q)) for p, q in self.bidegrees())
 
     @staticmethod
     def bidegree_of(mono: Monomial) -> tuple[int, int]:
@@ -345,77 +420,54 @@ class BigradedDGA:
         return got
 
     def _image(self, mono: Monomial) -> Element:
-        """Image under the rank-lowering differential, in the chosen basis.
+        """Image under the rank-lowering differential, in the chosen basis."""
+        lid, iset, syms = mono
+        mask = symbol_mask(syms)
+        if mask & ~self.frame_mask(lid):
+            raise ModelError("symbols outside the coframe of layer %d" % lid)
+        terms = self._kernel_terms(lid, iset)
+        out: Element = {}
+        for (sub, rest, _, _), part in zip(terms, self._apply_kernel(terms, mask)):
+            for t, c in part.items():
+                out[(sub, rest, self._symbols_of(t))] = c
+        return out
 
-        The coefficient of each term carries the reciprocal of the number of
-        components of the divisor section inside the bigger layer: the class
-        of one component is that fraction of the pulled-back point class, so
-        this is what matches the sheaf-level differential (for connected
-        sections the factor is 1, the naive formula survives and integral
+    def _symbols_of(self, mask: int) -> tuple[Symbol, ...]:
+        """``mask_symbols``, one shared tuple per mask for cached images."""
+        got = self._symbols.get(mask)
+        if got is None:
+            got = self._symbols[mask] = mask_symbols(mask)
+        return got
+
+    def _kernel_terms(self, lid: int, iset: tuple[int, ...]) -> list:
+        """The terms of d on w_{L, iset}: (sub, rest, coeff, xy) per divisor.
+
+        They do not depend on the symbols: ``ranks`` builds them once per
+        (layer, NBC set) for all its masks, and keeps none.
+
+        Removing divisor j from the index set leaves ``rest``, whose
+        component containing L is ``sub``; ``xy`` is ``_xy_terms(sub, j)``.
+        The coefficient carries the sign of moving j to the front and the
+        reciprocal of the number of components of the divisor section
+        inside ``sub``: the class of one component is that fraction of the
+        pulled-back point class, so this is what matches the sheaf-level
+        differential (for connected sections the factor is 1 and integral
         coefficients stay ints).
         """
-        lid, iset, syms = mono
-        out: Element = {}
-        lead = -1 if len(syms) % 2 else 1
+        terms = []
         for pos, j in enumerate(iset):
             rest = iset[:pos] + iset[pos + 1:]
-            sub = self._sublayer_of(lid, rest)
-            xy = self._x_wedge_y(sub, j)
+            sub = self.poset.component_inside(rest, lid)
+            if sub is None:
+                raise ModelError("no layer for %s over layer %d" % (rest, lid))
+            xy = self._xy_terms(sub, j)
             if not xy:
                 continue
-            # memoized for d only: a product meets its keys about once each
-            form = self._sym_form.get((sub, syms))
-            if form is None:
-                form = self._sym_form[sub, syms] = self._reduce_symbols(sub, syms)
-            if not form:
-                continue
-            form = wedge_forms(form, xy)
             ncomp = self._section_components(sub, iset)
-            lead_j = lead if ncomp == 1 else Fraction(lead, ncomp)
+            coeff = 1 if ncomp == 1 else Fraction(1, ncomp)
             # pos = |{k in rest : k < j}| since iset is sorted
-            coeff = lead_j if pos % 2 == 0 else -lead_j
-            for t, c in form.items():
-                key = (sub, rest, t)
-                nc = out.get(key, 0) + coeff * c
-                if nc:
-                    out[key] = nc
-                elif key in out:
-                    del out[key]
-        return out
-
-    def ranks(self, p: int, q: int) -> dict[int, int]:
-        """Exact rank of d: (p,q) -> (p+2,q-1), per weight block.
-
-        Only the blocks of weight a >= 0 are built; block -a has the rank
-        of block a, since the x<->y swap maps basis to signed basis and
-        anticommutes with d.  Columns stream: each block's images are built
-        for its rank and dropped, reusing images ``d`` has cached but
-        caching none.
-        """
-        key = (p, q)
-        got = self._ranks.get(key)
-        if got is not None:
-            return got
-        out: dict[int, int] = {}
-        if q >= 1 and self.dim(p, q) and self.dim(p + 2, q - 1):
-            tgt_index = self.index(p + 2, q - 1)
-            by_weight: dict[int, list[Monomial]] = {}
-            for mono in self.basis(p, q):
-                a = self.weight_of(mono)
-                if a >= 0:
-                    by_weight.setdefault(a, []).append(mono)
-            for a, monos in by_weight.items():
-                cols = []
-                for mono in monos:
-                    image = self._d_cache.get(mono)
-                    if image is None:
-                        image = self._image(mono)
-                    if image:
-                        cols.append({tgt_index[m]: c for m, c in image.items()})
-                if cols:
-                    out[a] = out[-a] = exactlin.sparse_rank(cols)
-        self._ranks[key] = out
-        return out
+            terms.append((sub, rest, coeff if pos % 2 == 0 else -coeff, xy))
+        return terms
 
     def _section_components(self, outer: int, iset: tuple[int, ...]) -> int:
         key = (outer, iset)
@@ -426,16 +478,95 @@ class BigradedDGA:
             self._section_count[key] = got
         return got
 
-    def _sublayer_of(self, layer_id: int, subset: tuple[int, ...]) -> int:
-        key = (layer_id, subset)
-        got = self._sublayer.get(key)
+    def _xy_terms(self, sub: int, j: int) -> tuple:
+        """x_j ^ y_j in the coframe of ``sub``, shared by every kernel term
+        that wedges it: (mask, coeff, bits between its two symbols)."""
+        key = (sub, j)
+        got = self._xy.get(key)
         if got is None:
-            got = self.poset.component_inside(subset, layer_id)
-            if got is None:
-                raise ModelError("no layer for %s over layer %d"
-                                 % (subset, layer_id))
-            self._sublayer[key] = got
+            got = []
+            for m, c in self._mask_form(sub, 3 << (2 * j)).items():
+                low = m & -m
+                got.append((m, c, (m ^ low) - (low << 1)))
+            got = self._xy[key] = tuple(got)
         return got
+
+    @staticmethod
+    def _apply_kernel(terms: list, mask: int) -> list[dict]:
+        """d of z_mask * w_{L, iset}: one {target mask: coeff} per term.
+
+        The mask lies in L's frame, and so in every sublayer's frame: a
+        coframe takes column j when j is outside the span of the flat and
+        the columns before j, and a sublayer's flat is smaller.  So each
+        term wedges x_j ^ y_j onto the right of the mask itself: both
+        symbols pass the mask's symbols above them, so the sign is the
+        parity of those between the two.  Each term has its own index set
+        ``rest``, so the parts are disjoint.
+        """
+        flip = mask.bit_count() % 2
+        parts = []
+        for _, _, coeff, xy in terms:
+            if flip:
+                coeff = -coeff
+            part: dict = {}
+            for xm, xc, between in xy:
+                if not mask & xm:
+                    odd = (mask & between).bit_count() % 2
+                    part[mask | xm] = -coeff * xc if odd else coeff * xc
+            parts.append(part)
+        return parts
+
+    def ranks(self, p: int, q: int) -> dict[int, int]:
+        """Exact rank of d: (p,q) -> (p+2,q-1), per weight block.
+
+        Only the blocks of weight a >= 0 are built; block -a has the rank
+        of block a, since the x<->y swap maps basis to signed basis and
+        anticommutes with d.  Columns stream from the kernel: each block's
+        columns are built from the masks of every (layer, NBC set), ranked
+        and dropped.  Target rows follow the order of ``basis(p+2, q-1)``:
+        each (layer, NBC set) pair owns C(2k, p+2) consecutive rows, one
+        per combination of its frame bits in lexicographic order.
+        """
+        key = (p, q)
+        got = self._ranks.get(key)
+        if got is not None:
+            return got
+        out: dict[int, int] = {}
+        if q >= 1 and self.dim(p, q) and self.dim(p + 2, q - 1):
+            width = comb(2 * (self.n - q + 1), p + 2)
+            offset: dict[tuple[int, tuple[int, ...]], int] = {}
+            for lid in self.poset.by_rank[q - 1]:
+                for iset in self.nbc(lid):
+                    offset[(lid, iset)] = len(offset) * width
+            lex: dict[int, dict[int, int]] = {}   # frame -> lex ranks
+            by_weight: dict[int, list] = {}
+            for lid in self.poset.by_rank[q]:
+                ys = sum(2 << (2 * col) for col in self.coframe(lid))
+                masks = []
+                for mask in _lex_ranks(self.frame_mask(lid), p):
+                    a = p - 2 * (mask & ys).bit_count()
+                    if a >= 0:
+                        masks.append((mask, a))
+                for iset in self.nbc(lid):
+                    terms = self._kernel_terms(lid, iset)
+                    rows = []
+                    for sub, rest, _, _ in terms:
+                        frame = self.frame_mask(sub)
+                        if frame not in lex:
+                            lex[frame] = _lex_ranks(frame, p + 2)
+                        rows.append((offset[(sub, rest)], lex[frame]))
+                    for mask, a in masks:
+                        col: dict = {}
+                        parts = self._apply_kernel(terms, mask)
+                        for (base, rank), part in zip(rows, parts):
+                            for t, c in part.items():
+                                col[base + rank[t]] = c
+                        if col:
+                            by_weight.setdefault(a, []).append(col)
+            for a, cols in by_weight.items():
+                out[a] = out[-a] = exactlin.sparse_rank(cols)
+        self._ranks[key] = out
+        return out
 
     def d(self, elem: Element) -> Element:
         if element_bidegree(elem) is None and elem:
@@ -461,19 +592,22 @@ class BigradedDGA:
         targets = self.poset.layers_associated(union)
         if not targets:
             return {}
+        mask1, mask2 = symbol_mask(s1), symbol_mask(s2)
+        if mask1 & mask2:
+            return {}
         sigma, _ = merge_sign(i1, i2)
         koszul = -1 if (len(s2) * len(i1)) % 2 else 1
-        base = sigma * koszul
+        base = sigma * koszul * mask_sign(mask1, mask2)
         out: Element = {}
         for lid in targets:
             if not (self.poset.leq(l1, lid) and self.poset.leq(l2, lid)):
                 continue
-            form = self._reduce_symbols(lid, s1 + s2)
+            form = self._mask_form(lid, mask1 | mask2)
             if not form:
                 continue
             for iset, sc in self.straighten(lid, union).items():
                 for t, c in form.items():
-                    key = (lid, iset, t)
+                    key = (lid, iset, self._symbols_of(t))
                     nc = out.get(key, 0) + base * sc * c
                     if nc:
                         out[key] = nc
@@ -578,7 +712,7 @@ def hodge_weight(p: int, q: int) -> int:
     return p + 2 * q
 
 
-def element_bidegree(elem: Element) -> Optional[tuple[int, int]]:
+def element_bidegree(elem: Element) -> tuple[int, int] | None:
     degs = {(len(m[2]), len(m[1])) for m in elem}
     if len(degs) == 1:
         return degs.pop()
@@ -619,7 +753,7 @@ class TensorModel:
     """
 
     def __init__(self, core: BigradedDGA, nbars: int,
-                 transform: Optional[list[list[int]]] = None):
+                 transform: list[list[int]] | None = None):
         self.core = core
         self.nbars = nbars
         self.ambient_n = core.n + nbars

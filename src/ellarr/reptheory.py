@@ -12,10 +12,10 @@ modulo cyclotomic polynomials.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
-from typing import Iterable, Sequence
 
 LABELS = ("1", "x", "y", "xy")
 LABEL_DEGREE = {"1": 0, "x": 1, "y": 1, "xy": 2}

@@ -357,6 +357,19 @@ class TestLeanImports:
         assert "ellarr.formality" in loaded
         assert not loaded & {"ellarr.braid", "ellarr.reptheory"}
 
+    def test_no_typing_without_site(self):
+        # annotations are never evaluated, so the package needs no typing
+        import os
+        import ellarr
+        src = os.path.dirname(os.path.dirname(ellarr.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys\nimport ellarr.cli\nprint('typing' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestSharedModel:
     """Each run builds the input's model once and computes only what it prints."""

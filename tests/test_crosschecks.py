@@ -7,6 +7,7 @@ whole page machinery at once and is computed here from scratch.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -98,6 +99,36 @@ def graphic_circuit_cocycle(gm, cycle, kind):
                 elif m in total:
                     del total[m]
     return total
+
+
+class TestPosetDeterminesCohomology:
+    """The paper's theorem on the worked-example family.
+
+    (1,0),(1,k),(2,k) and (1,0),(2,k),(3,k) are different arrangements in
+    E^2.  For k prime to 6 their layer posets are isomorphic, so their
+    page-2 and page-3 tables, weights included, must agree, and so must
+    the three routes to the Euler characteristic.
+    """
+
+    def test_worked_example_pairs(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        ks = [k for k in range(1, 14) if gcd(k, 6) == 1]
+
+        @hyp.settings(max_examples=10, deadline=None, derandomize=True)
+        @hyp.given(st.sampled_from(ks))
+        def check(k):
+            pair = (Arrangement(2, ((1, 0), (1, k), (2, k))),
+                    Arrangement(2, ((1, 0), (2, k), (3, k))))
+            posets = [arr_mod.build_poset(arr) for arr in pair]
+            assert arr_mod.poset_isomorphic(*posets) is not None, k
+            (t2a, t3a), (t2b, t3b) = map(cohomology.betti_tables, pair)
+            assert (t2a.entries, t2a.weights) == (t2b.entries, t2b.weights)
+            assert (t3a.entries, t3a.weights) == (t3b.entries, t3b.weights)
+            for arr in pair:
+                assert euler_by_moebius(arr) == t2a.euler() == t3a.euler()
+
+        check()
 
 
 class TestGraphicCocycles:
