@@ -10,6 +10,12 @@ inside the lattice of a layer B, the one layer with lattice M that can
 contain B is keyed by M and M's pairings with a point of B.  Lattice
 inclusion is read off a span table, the set of columns in the rational span
 of each distinct lattice.
+
+Inside the poset construction, witnesses and pairings are integer
+numerators: each set's over its own denominator, deduplicated by keys in
+lowest terms, then every layer's over one denominator for the whole
+arrangement, on which the layer order, flats and containment run as int
+tuples.  Each `Layer` carries them as Fractions.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from . import exactlin
 
@@ -121,6 +128,9 @@ class Layer(Frozen):
     ``lattice`` is the Hermite basis of the saturated equation lattice and
     ``t1``/``t2`` are the lattice pairings of any point of the layer, per
     circle coordinate; together they determine the layer as a point set.
+    ``witness1``/``witness2`` are such a point.  Pairings and witnesses are
+    Fractions in [0, 1) here; `build_poset` computes them as integer
+    numerators over one common denominator and converts them once per layer.
     Layers compare by identity: a poset holds one object per layer, and
     ``key`` is the value to compare across posets.
     """
@@ -142,16 +152,38 @@ class Layer(Frozen):
         return (self.lattice, self.t1, self.t2)
 
 
-def _pairing(lattice, point) -> tuple[Fraction, ...]:
-    """Pairings of integer rows with a rational point, mod 1.
+def _pairing(lattice, point, den) -> tuple[int, ...]:
+    """Pairings of integer rows with a point given as integer numerators
+    over ``den``, as numerators over ``den`` reduced into [0, den)."""
+    return tuple([sum(map(mul, row, point)) % den for row in lattice])
 
-    The point is put over one common denominator, so each pairing is one
-    integer dot product reduced mod that denominator.
+
+def _scaled_offsets(arr: Arrangement, den: int) -> list[tuple]:
+    """Each divisor's offset as integer numerators over ``den``.
+
+    A coordinate whose scaled value is not an integer becomes None, which
+    equals no pairing: no point over ``den`` lies on that divisor.
     """
-    den = lcm(*(x.denominator for x in point))
-    nums = [x.numerator * (den // x.denominator) for x in point]
-    return tuple(Fraction(sum(r * x for r, x in zip(row, nums)) % den, den)
-                 for row in lattice)
+    return [tuple(x.numerator * (den // x.denominator)
+                  if den % x.denominator == 0 else None for x in off)
+            for off in arr.offsets]
+
+
+def _offset_numerators(arr: Arrangement) -> tuple[int, list[tuple]]:
+    """The offsets as integer numerators over their common denominator."""
+    den = lcm(*(x.denominator for off in arr.offsets for x in off))
+    return den, _scaled_offsets(arr, den)
+
+
+def _fractions(nums, den, memo: dict[int, Fraction]) -> tuple[Fraction, ...]:
+    """Numerators over ``den`` as Fractions, one shared object per value."""
+    out = []
+    for x in nums:
+        f = memo.get(x)
+        if f is None:
+            f = memo[x] = Fraction(x, den)
+        out.append(f)
+    return tuple(out)
 
 
 def independent_sets(arr: Arrangement) -> list[tuple[int, ...]]:
@@ -214,30 +246,35 @@ def fundamental_circuit(arr: Arrangement, e: int, independent: Sequence[int]
     return tuple(sorted([e] + [j for t, j in enumerate(cols) if row[arr.n + t]]))
 
 
-def _components_raw(arr: Arrangement, idx: tuple[int, ...]):
-    """Component data (rank, lattice, keys, witnesses) without flats."""
-    zero = (Fraction(0),) * arr.n
+def _components_raw(arr: Arrangement, idx: tuple[int, ...], den: int,
+                    offsets: list[tuple]):
+    """Component data without flats, over one denominator.
+
+    ``offsets`` are the arrangement's offsets as numerators over ``den``
+    (`_offset_numerators`).  Returns (den', components), each component
+    (rank, lattice, t1, t2, w1, w2) with pairings and witnesses as integer
+    numerators over den'.
+    """
+    zero = (0,) * arr.n
     if not idx:
-        return [(0, (), (), (), zero, zero)]
+        return 1, [(0, (), (), (), zero, zero)]
     system = arr.submatrix_t(idx)           # |I| x n rows c_i^T
-    q1 = [arr.offsets[i][0] for i in idx]
-    q2 = [arr.offsets[i][1] for i in idx]
+    q1 = [offsets[i][0] for i in idx]
+    q2 = [offsets[i][1] for i in idx]
     snf = exactlin.smith_normal_form(system)
     if not any(q1) and not any(q2) and all(d == 1 for d in snf.divisors):
         # connected intersection through the origin
         lattice = exactlin.hermite_row_basis(system)
         zk = (0,) * len(lattice)
-        return [(len(idx), lattice, zk, zk, zero, zero)]
-    sols1 = exactlin.torsion_from_snf(snf, len(idx), arr.n, q1)
-    sols2 = exactlin.torsion_from_snf(snf, len(idx), arr.n, q2)
+        return 1, [(len(idx), lattice, zk, zk, zero, zero)]
+    point_den, sols1 = exactlin.torsion_numerators(snf, len(idx), den, q1)
+    _, sols2 = exactlin.torsion_numerators(snf, len(idx), den, q2)
     vinv = exactlin.inv_unimodular(snf.v)
     lattice = exactlin.hermite_row_basis(vinv[:len(snf.divisors)])
-    out = []
-    for w1 in sols1:
-        for w2 in sols2:
-            out.append((len(idx), lattice, _pairing(lattice, w1),
-                        _pairing(lattice, w2), w1, w2))
-    return out
+    pairs1 = [(_pairing(lattice, w1, point_den), w1) for w1 in sols1]
+    pairs2 = [(_pairing(lattice, w2, point_den), w2) for w2 in sols2]
+    return point_den, [(len(idx), lattice, t1, t2, w1, w2)
+                       for t1, w1 in pairs1 for t2, w2 in pairs2]
 
 
 def components_of(arr: Arrangement, independent: Sequence[int]) -> list[Layer]:
@@ -250,11 +287,17 @@ def components_of(arr: Arrangement, independent: Sequence[int]) -> list[Layer]:
     idx = tuple(sorted(independent))
     if exactlin.rational_rank(arr.submatrix_t(idx)) < len(idx):
         raise ArrangementError("%s is a dependent set" % (idx,))
+    den, comps = _components_raw(arr, idx, *_offset_numerators(arr))
+    offsets = _scaled_offsets(arr, den)
+    memo: dict[int, Fraction] = {}
     layers = []
-    for rank, lattice, t1, t2, w1, w2 in _components_raw(arr, idx):
-        flat = _flat_of(arr, _span(arr, lattice), w1, w2)
-        layers.append(Layer(rank=rank, lattice=lattice, t1=t1, t2=t2,
-                            witness1=w1, witness2=w2, flat=flat))
+    for rank, lattice, t1, t2, w1, w2 in comps:
+        flat = _flat_of(arr, _span(arr, lattice), den, offsets, w1, w2)
+        layers.append(Layer(rank=rank, lattice=lattice,
+                            t1=_fractions(t1, den, memo),
+                            t2=_fractions(t2, den, memo),
+                            witness1=_fractions(w1, den, memo),
+                            witness2=_fractions(w2, den, memo), flat=flat))
     return layers
 
 
@@ -268,14 +311,14 @@ def _span(arr: Arrangement, lattice) -> frozenset[int]:
                      if exactlin.in_row_span(lattice, col))
 
 
-def _flat_of(arr, span, w1, w2) -> frozenset[int]:
+def _flat_of(arr, span, den, offsets, w1, w2) -> frozenset[int]:
     """Divisors containing the whole layer: in its lattice's span and
-    through one of its points."""
-    idx = sorted(span)
-    cols = [arr.columns[i] for i in idx]
-    return frozenset(i for i, v1, v2 in zip(idx, _pairing(cols, w1),
-                                            _pairing(cols, w2))
-                     if (v1, v2) == arr.offsets[i])
+    through one of its points.  The witnesses and ``offsets``
+    (`_scaled_offsets`) are numerators over ``den``."""
+    cols = arr.columns
+    return frozenset(i for i in span
+                     if (sum(map(mul, cols[i], w1)) % den,
+                         sum(map(mul, cols[i], w2)) % den) == offsets[i])
 
 
 class LayerPoset:
@@ -293,26 +336,30 @@ class LayerPoset:
     """
 
     def __init__(self, arr: Arrangement, layers: list[Layer],
-                 assoc_keys: dict[frozenset[int], list],
-                 span: dict[tuple, frozenset[int]]):
+                 assoc: dict[frozenset[int], tuple[int, ...]],
+                 span: dict[tuple, frozenset[int]], den: int,
+                 points: list[tuple]):
+        """``assoc`` maps each independent set to its sorted layer indices;
+        ``points[i]`` is layer i's (t1, t2, w1, w2) as integer numerators
+        over ``den``."""
         self.arrangement = arr
         self.layers = layers
-        index_of = {lay.key: lay.index for lay in layers}
-        self.assoc = {iset: tuple(sorted(index_of[k] for k in keys))
-                      for iset, keys in assoc_keys.items()}
+        self.assoc = assoc
         by_rank: dict[int, list[int]] = {}
         for lay in layers:
             by_rank.setdefault(lay.rank, []).append(lay.index)
         self.by_rank = by_rank
+        index_of = {(lay.lattice, t1, t2): lay.index
+                    for lay, (t1, t2, _, _) in zip(layers, points)}
         lattices = list(dict.fromkeys(lay.lattice for lay in layers))  # by rank
         zero_key = {lat: (lat, (0,) * len(lat), (0,) * len(lat))
                     for lat in lattices}
         self._above = [0] * len(layers)   # bitmask: j with leq(i, j)
-        for b in layers:
+        for b, (_, _, w1, w2) in zip(layers, points):
             bit = 1 << b.index
             self._above[b.index] |= bit
             inner = span[b.lattice]
-            at_origin = not any(b.witness1) and not any(b.witness2)
+            at_origin = not any(w1) and not any(w2)
             for lat in lattices:
                 if len(lat) >= b.rank:
                     break
@@ -321,8 +368,7 @@ class LayerPoset:
                 if at_origin:
                     key = zero_key[lat]
                 else:
-                    key = (lat, _pairing(lat, b.witness1),
-                           _pairing(lat, b.witness2))
+                    key = (lat, _pairing(lat, w1, den), _pairing(lat, w2, den))
                 a = index_of.get(key)
                 if a is not None:
                     self._above[a] |= bit
@@ -369,39 +415,86 @@ def build_poset(arr: Arrangement) -> LayerPoset:
     """All layers of all independent sets, deduplicated by point set.
 
     Sets without offsets whose columns generate the same lattice cut out
-    the same components, so those are computed once per row lattice.  Spans
-    are computed once per distinct lattice and flats once per deduplicated
+    the same components, so those are computed once per row lattice.  Each
+    set's components come over the set's own denominator and are
+    deduplicated as they come, by a key whose pairings are reduced to
+    lowest terms.  The kept layers are then put over one denominator D,
+    the lcm of theirs, on which the sort, flats and containment run in
+    integers; numerators over D sort as the Fractions do.  Spans are
+    computed once per distinct lattice and flats once per deduplicated
     layer, not per associated set.
     """
-    seen: dict[tuple, tuple] = {}
-    assoc_keys: dict[frozenset[int], list] = {}
+    den0, offsets0 = _offset_numerators(arr)
+    seen: dict[tuple, int] = {}        # reduced key -> first-seen id
+    found: list[tuple] = []            # id -> (den, rank, lattice, t1, ...)
+    assoc_ids: dict[frozenset[int], list[int]] = {}
     untwisted: dict[tuple, list] = {}
     for ind in independent_sets(arr):
         if ind and not any(any(arr.offsets[i]) for i in ind):
             row_lattice = exactlin.hermite_row_basis(arr.submatrix_t(ind))
-            raws = untwisted.get(row_lattice)
-            if raws is None:
-                raws = untwisted[row_lattice] = _components_raw(arr, ind)
+            keyed = untwisted.get(row_lattice)
+            if keyed is None:
+                keyed = untwisted[row_lattice] = _keyed_components(
+                    arr, ind, den0, offsets0)
         else:
-            raws = _components_raw(arr, ind)
-        members = []
-        for raw in raws:
-            key = raw[1:4]
-            if key not in seen:
-                seen[key] = raw
-            members.append(key)
-        assoc_keys[frozenset(ind)] = members
-    ordered = sorted(seen.values(), key=lambda r: r[:4])
+            keyed = _keyed_components(arr, ind, den0, offsets0)
+        ids = []
+        for key, comp in keyed:
+            lid = seen.get(key)
+            if lid is None:
+                lid = seen[key] = len(found)
+                found.append(comp)
+            ids.append(lid)
+        assoc_ids[frozenset(ind)] = ids
+    den = lcm(*(comp[0] for comp in found))
+    scaled = []
+    for lid, (own, rank, lattice, *nums) in enumerate(found):
+        s = den // own
+        if s != 1:
+            nums = [tuple([s * x for x in v]) for v in nums]
+        scaled.append((rank, lattice, *nums, lid))
+    scaled.sort()       # distinct layers differ in (rank, lattice, t1, t2)
+    position = [0] * len(found)
+    offsets = _scaled_offsets(arr, den)
     span: dict[tuple, frozenset[int]] = {}
+    memo: dict[int, Fraction] = {}
     layers = []
-    for i, (rank, lattice, t1, t2, w1, w2) in enumerate(ordered):
+    points = []
+    for i, (rank, lattice, t1, t2, w1, w2, lid) in enumerate(scaled):
+        position[lid] = i
         if lattice not in span:
             span[lattice] = _span(arr, lattice)
-        layers.append(Layer(rank=rank, lattice=lattice, t1=t1, t2=t2,
-                            witness1=w1, witness2=w2,
-                            flat=_flat_of(arr, span[lattice], w1, w2),
+        layers.append(Layer(rank=rank, lattice=lattice,
+                            t1=_fractions(t1, den, memo),
+                            t2=_fractions(t2, den, memo),
+                            witness1=_fractions(w1, den, memo),
+                            witness2=_fractions(w2, den, memo),
+                            flat=_flat_of(arr, span[lattice], den, offsets,
+                                          w1, w2),
                             index=i))
-    return LayerPoset(arr, layers, assoc_keys, span)
+        points.append((t1, t2, w1, w2))
+    assoc = {iset: tuple(sorted(position[lid] for lid in ids))
+             for iset, ids in assoc_ids.items()}
+    return LayerPoset(arr, layers, assoc, span, den, points)
+
+
+def _keyed_components(arr, ind, den, offsets) -> list[tuple]:
+    """(key, (den', *component)) per component of `_components_raw`.
+
+    The key is the lattice with the two pairing tuples put over their least
+    common denominator, so equal layers from sets with different
+    denominators get equal keys.
+    """
+    den, comps = _components_raw(arr, ind, den, offsets)
+    out = []
+    for comp in comps:
+        lattice, t1, t2 = comp[1:4]
+        g = gcd(den, *t1, *t2)
+        if g > 1:
+            t1 = tuple(x // g for x in t1)
+            t2 = tuple(x // g for x in t2)
+        out.append(((lattice, den // g, t1, t2), (den,) + comp))
+    return out
 
 
 def is_essential(arr: Arrangement) -> bool:

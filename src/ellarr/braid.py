@@ -20,8 +20,8 @@ from math import comb, factorial
 from . import cohomology, exactlin
 from .arrangement import Arrangement
 from .model import BigradedDGA, Element, TensorModel, add, scale
-from .reptheory import (LABEL_DEGREE, LABEL_WEIGHT, LABELS,
-                        conjugate_partition, schur_dimension)
+from .reptheory import (LABEL_DEGREE, LABELS, conjugate_partition,
+                        schur_dimension)
 
 
 # ----- arrangements ------------------------------------------------------

@@ -9,7 +9,8 @@ Ranks (`sparse_rank`, `rational_rank`) come from one fraction-free column
 reduction over primitive integer columns; inverses (`inv_unimodular` and
 the model's coframe coordinates) from one fraction-free Gauss-Jordan
 elimination, `fraction_free_inverse`; echelon forms, kernels and solves
-from `rref`; Smith forms from `smith_normal_form`.
+from `rref`; Smith forms from `smith_normal_form`; torsion points from
+`torsion_numerators`, in integer numerators over one common denominator.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class SnfDecomposition:
@@ -432,32 +434,45 @@ def torsion_from_snf(snf: SnfDecomposition, rows: int, cols: int,
                      q: Sequence[Fraction]) -> list[tuple[Fraction, ...]]:
     """Component representatives of m v = q mod 1 from a precomputed SNF of m."""
     q = [Fraction(x) for x in q]
+    den = lcm(*(x.denominator for x in q))
+    den, reps = torsion_numerators(
+        snf, rows, den, [x.numerator * (den // x.denominator) for x in q])
+    return [tuple(Fraction(x, den) for x in rep) for rep in reps]
+
+
+def torsion_numerators(snf: SnfDecomposition, rows: int, den: int,
+                       q: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """Integer form of `torsion_from_snf` for the right-hand side q / den.
+
+    Returns (den * d_r, representatives): each representative is a tuple of
+    numerators in [0, den * d_r) over that denominator, with d_r the last
+    elementary divisor (1 when there is none), and the list is sorted, so
+    it sorts as the Fraction points do.  rhs = U q is a vector of integer
+    numerators over den; the system is solvable when den divides rhs_i for
+    every i >= r, and the points are w_i = (rhs_i + c_i den) / (den d_i)
+    for 0 <= c_i < d_i, mapped by V.
+    """
     if len(q) != rows:
         raise ValueError("right-hand side length mismatch")
-    r = len(snf.divisors)
-    rhs = [sum(Fraction(snf.u[i][k]) * q[k] for k in range(rows))
-           for i in range(rows)]
-    for i in range(r, rows):
-        if frac_mod1(rhs[i]) != 0:
-            return []
-    reps = []
-    counters = [0] * r
-    while True:
-        w = [Fraction(0)] * cols
-        for i in range(r):
-            w[i] = frac_mod1((rhs[i] + counters[i]) / snf.divisors[i])
-        x = [frac_mod1(sum(Fraction(snf.v[i][k]) * w[k] for k in range(cols)))
-             for i in range(cols)]
-        reps.append(tuple(x))
-        # odometer over Z/d1 x ... x Z/dr
-        for i in range(r - 1, -1, -1):
-            counters[i] += 1
-            if counters[i] < snf.divisors[i]:
-                break
-            counters[i] = 0
-        else:
-            break
-    return sorted(set(reps))
+    divisors = snf.divisors
+    r = len(divisors)
+    rhs = [sum(map(mul, u_row, q)) for u_row in snf.u]
+    if any(x % den for x in rhs[r:]):
+        return den, []
+    top = divisors[-1] if divisors else 1
+    modulus = den * top
+    # x = V w is affine in the counters c: start from c = 0 and add
+    # c_i times column i of V, scaled to step i, one divisor at a time
+    points = [[sum(v_row[i] * rhs[i] * (top // divisors[i]) for i in range(r))
+               for v_row in snf.v]]
+    for i, d in enumerate(divisors):
+        if d == 1:
+            continue
+        step = den * (top // d)
+        col = [v_row[i] * step for v_row in snf.v]
+        points = [[x + c * y for x, y in zip(p, col)]
+                  for p in points for c in range(d)]
+    return modulus, sorted(tuple(x % modulus for x in p) for p in points)
 
 
 def sparse_rank(columns: list[dict[int, int | Fraction]]) -> int:

@@ -1,7 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -379,3 +379,74 @@ class TestPosetOracle:
             assert_poset_matches_oracle(arr)
 
         check()
+
+
+def assert_layer_order(poset):
+    # layer indices follow the Fraction keys (rank, lattice, t1, t2)
+    keys = [(lay.rank, lay.lattice, lay.t1, lay.t2) for lay in poset.layers]
+    assert all(isinstance(x, Fraction) for k in keys for x in k[2] + k[3])
+    assert keys == sorted(keys)
+    assert [lay.index for lay in poset.layers] == list(range(poset.size))
+
+
+class TestMixedDenominators:
+    """Posets whose sets have different torsion denominators."""
+
+    MIXED = Arrangement(2, ((1, 0), (1, 3), (2, 3)),
+                        ((Fraction(1, 2), 0), (0, Fraction(2, 5)), (0, 0)))
+
+    def test_fixed_input(self):
+        poset = assert_poset_matches_oracle(self.MIXED)
+        assert poset.counts_by_rank() == {0: 1, 1: 3, 2: 27}
+        assert sorted({x.denominator for lay in poset.layers
+                       for x in lay.witness1 + lay.witness2}) == [
+                           1, 2, 3, 5, 6, 15]
+        assert_layer_order(poset)
+
+    def test_point_shared_across_denominators(self):
+        # (1/2, 0) lies on all three divisors; the sets {0, 1} and {1, 2}
+        # give it over denominator 2, the set {0, 2} (divisors 1, 2) over 4
+        arr = Arrangement(2, ((1, 0), (0, 1), (1, 2)),
+                          ((Fraction(1, 2), 0), (0, 0), (Fraction(1, 2), 0)))
+        poset = assert_poset_matches_oracle(arr)
+        assert poset.counts_by_rank() == {0: 1, 1: 3, 2: 4}
+        shared = set(poset.layers_associated((0, 1)))
+        assert shared == set(poset.layers_associated((1, 2)))
+        assert shared < set(poset.layers_associated((0, 2)))
+        assert_layer_order(poset)
+
+    def test_random_inputs(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        offset = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3),
+                                  Fraction(1, 4), Fraction(2, 5),
+                                  Fraction(3, 7)])
+
+        def arrangements(n):
+            col = st.lists(st.integers(-3, 3), min_size=n,
+                           max_size=n).filter(lambda v: gcd(*v) == 1)
+            div = st.tuples(col, st.tuples(offset, offset))
+            return st.lists(div, min_size=2, max_size=4).map(
+                lambda ds: Arrangement(n, tuple(tuple(c) for c, _ in ds),
+                                       tuple(o for _, o in ds)))
+
+        seen = set()
+
+        @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+        @hyp.given(st.integers(2, 3).flatmap(arrangements))
+        def check(arr):
+            divisors = [exactlin.elementary_divisors(arr.submatrix_t(ind))
+                        for ind in arr_mod.independent_sets(arr) if ind]
+            # the oracle is quadratic in the layers: keep to small posets
+            hyp.assume(sum(prod(ds) ** 2 for ds in divisors) <= 200)
+            poset = assert_poset_matches_oracle(arr)
+            assert_layer_order(poset)
+            dens = {x.denominator for lay in poset.layers
+                    for x in lay.witness1 + lay.witness2}
+            tops = {ds[-1] for ds in divisors}
+            seen.add((len(dens) > 2, max(tops, default=1) > 1, len(tops) > 1))
+
+        check()
+        # some draws mix several witness denominators, have torsion
+        # divisors and sets whose last elementary divisors differ
+        assert (True, True, True) in seen

@@ -6,6 +6,7 @@ import pytest
 
 from ellarr import braid, cohomology, exactlin
 from ellarr.model import scale, sub
+from ellarr.reptheory import LABEL_WEIGHT
 
 
 class TestArrangement:
@@ -450,7 +451,7 @@ class TestStirlingColumn:
         counts = {}
         for forest, labels in braid.labelled_forests(n):
             key = braid.labelled_forest_bidegree(forest, labels)
-            w = sum(braid.LABEL_WEIGHT[l] for l in labels.values())
+            w = sum(LABEL_WEIGHT[l] for l in labels.values())
             counts.setdefault(key, {})
             counts[key][w] = counts[key].get(w, 0) + 1
         assert counts == t2.weights

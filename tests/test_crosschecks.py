@@ -14,7 +14,6 @@ import pytest
 from ellarr import arrangement as arr_mod
 from ellarr import braid, cohomology, exactlin, formality
 from ellarr.arrangement import Arrangement
-from ellarr.model import sub
 
 
 def moebius_from_bottom(poset):

@@ -161,6 +161,85 @@ class TestSolveTorsion:
         assert len(sols) == expected
 
 
+def _torsion_oracle(snf, rows, cols, q):
+    # the Fraction solver the integer one replaced: rhs = U q, then
+    # w_i = (rhs_i + c_i) / d_i mod 1 over an odometer, x = V w mod 1
+    def mod1(x):
+        return x - (x.numerator // x.denominator)
+
+    q = [Fraction(x) for x in q]
+    r = len(snf.divisors)
+    rhs = [sum(Fraction(snf.u[i][k]) * q[k] for k in range(rows))
+           for i in range(rows)]
+    if any(mod1(rhs[i]) for i in range(r, rows)):
+        return []
+    reps = []
+    counters = [0] * r
+    while True:
+        w = [Fraction(0)] * cols
+        for i in range(r):
+            w[i] = mod1((rhs[i] + counters[i]) / snf.divisors[i])
+        reps.append(tuple(mod1(sum(Fraction(snf.v[i][k]) * w[k]
+                                   for k in range(cols)))
+                          for i in range(cols)))
+        for i in range(r - 1, -1, -1):
+            counters[i] += 1
+            if counters[i] < snf.divisors[i]:
+                break
+            counters[i] = 0
+        else:
+            break
+    return sorted(set(reps))
+
+
+class TestTorsionOracle:
+    """The integer torsion solver against the Fraction solver it replaced."""
+
+    def test_random_systems(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def systems(rows, cols):
+            row = st.lists(st.integers(-4, 4), min_size=cols, max_size=cols)
+            rhs = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 7))
+            return st.tuples(st.lists(row, min_size=rows, max_size=rows),
+                             st.lists(rhs, min_size=rows, max_size=rows),
+                             st.sampled_from(("drawn", "zero row",
+                                              "repeated row")))
+
+        shapes = st.tuples(st.integers(1, 3), st.integers(1, 4))
+        outcomes = []
+
+        @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+        @hyp.given(shapes.flatmap(lambda s: systems(*s)))
+        def check(system):
+            m, q, form = system
+            if form == "zero row":
+                m[-1] = [0] * len(m[0])
+            elif form == "repeated row":
+                m[-1] = [2 * x for x in m[0]]
+            rows, cols = len(m), len(m[0])
+            snf = exactlin.smith_normal_form(m)
+            want = _torsion_oracle(snf, rows, cols, q)
+            assert exactlin.torsion_from_snf(snf, rows, cols, q) == want
+            assert exactlin.solve_torsion(m, q) == want
+            den = 1
+            for x in q:
+                den = den * x.denominator // gcd(den, x.denominator)
+            top, reps = exactlin.torsion_numerators(
+                snf, rows, den, [x.numerator * den // x.denominator
+                                 for x in q])
+            assert reps == sorted(reps)
+            assert all(0 <= x < top for rep in reps for x in rep)
+            assert [tuple(Fraction(x, top) for x in rep)
+                    for rep in reps] == want
+            outcomes.append((bool(want), len(snf.divisors) < rows))
+
+        check()
+        # solvable and unsolvable systems, full-rank and deficient, all occur
+        assert set(outcomes) == {(True, True), (True, False), (False, True)}
+
+
 class TestHermiteAndSaturation:
     def test_hermite_canonical(self):
         # same row lattice, two presentations
