@@ -120,14 +120,6 @@ def _weights_json(table: cohomology.BettiTable) -> dict:
             for k, w in sorted(table.weights.items())}
 
 
-def _prepare(source):
-    """(arrangement, graph or None) of an input."""
-    if isinstance(source, Arrangement):
-        return source, None
-    from . import formality
-    return formality.graphic_arrangement(source), source
-
-
 def _is_braid(arr: Arrangement) -> bool:
     """Is this the untranslated diagonal arrangement on n >= 2 coordinates?"""
     if arr.n < 2:
@@ -136,12 +128,12 @@ def _is_braid(arr: Arrangement) -> bool:
     return arr == braid_mod.braid_arrangement(arr.n)
 
 
-# Every command takes (source, args, model), where model() returns the
-# input's ``cohomology.full_model``, built on first use and shared with
-# --verify.
+# Every command takes (arr, graph, args, model): the input's arrangement,
+# its graph (None unless the input is a graph), the parsed options, and
+# model(), which returns the input's ``cohomology.full_model``, built on
+# first use and shared with --verify.
 
-def cmd_poset(source, args, model) -> dict:
-    arr, _ = _prepare(source)
+def cmd_poset(arr, graph, args, model) -> dict:
     poset = arr_mod.build_poset(arr)
     return {
         "input": print_arrangement(arr),
@@ -155,8 +147,7 @@ def cmd_poset(source, args, model) -> dict:
     }
 
 
-def cmd_betti(source, args, model) -> dict:
-    arr, _ = _prepare(source)
+def cmd_betti(arr, graph, args, model) -> dict:
     t2, t3 = cohomology.betti_tables(model())
     return {
         "input": print_arrangement(arr),
@@ -168,16 +159,14 @@ def cmd_betti(source, args, model) -> dict:
     }
 
 
-def cmd_euler(source, args, model) -> dict:
-    arr, _ = _prepare(source)
+def cmd_euler(arr, graph, args, model) -> dict:
     chi_core = cohomology.euler_characteristic(model().core)
     chi = 0 if model().nbars else chi_core
     return {"input": print_arrangement(arr), "euler": chi,
             "euler_essential_core": chi_core}
 
 
-def cmd_braid_table(source, args, model) -> dict:
-    arr, _ = _prepare(source)
+def cmd_braid_table(arr, graph, args, model) -> dict:
     n = arr.n
     if not _is_braid(arr):
         raise InputError("braid-table needs a braid input (use --braid N)")
@@ -209,8 +198,7 @@ def cmd_braid_table(source, args, model) -> dict:
     }
 
 
-def cmd_rep_decompose(source, args, model) -> dict:
-    arr, _ = _prepare(source)
+def cmd_rep_decompose(arr, graph, args, model) -> dict:
     n = arr.n
     if not _is_braid(arr):
         raise InputError("rep-decompose needs a braid input (use --braid N)")
@@ -227,13 +215,11 @@ def cmd_rep_decompose(source, args, model) -> dict:
     return {"input": print_arrangement(arr), "representations": reps}
 
 
-def cmd_formality(source, args, model) -> dict:
+def cmd_formality(arr, graph, args, model) -> dict:
     from . import formality
-    if isinstance(source, Arrangement):
-        graph = _graph_from_arrangement(source)
-    else:
-        graph = source
-    formal, cert = formality.is_one_formal(graph)
+    if graph is None:
+        graph = _graph_from_arrangement(arr)
+    formal, cert = formality.is_one_formal(graph, model())
     out = {"graph": {"vertices": graph.n, "edges": [list(e) for e in graph.edges]},
            "formality": {"one_formal": formal}}
     if formal:
@@ -270,9 +256,8 @@ def _graph_from_arrangement(arr: Arrangement):
         raise InputError("formality: %s" % exc) from exc
 
 
-def cmd_verify_all(source, args, model) -> dict:
+def cmd_verify_all(arr, graph, args, model) -> dict:
     """Invariant suite for the given input; any failure exits nonzero."""
-    arr, graph = _prepare(source)
     checks = []
 
     def check(name, ok, detail=""):
@@ -357,9 +342,9 @@ def cmd_verify_all(source, args, model) -> dict:
 
     if graph is not None:
         from . import formality
-        formal, cert = formality.is_one_formal(graph)
-        agree = formal == (graph.has_triangle() is None)
-        check("formality-criterion", agree)
+        formal, cert = formality.is_one_formal(graph, model())
+        check("formality-criterion",
+              cert["vanishing"]["ok"] if formal else cert["gap_certified"])
         if not formal:
             check("resonance-gap-witness", cert["gap_certified"])
 
@@ -456,21 +441,24 @@ def main(argv=None) -> int:
             if args.braid < 2:
                 raise InputError("--braid needs N >= 2")
             from . import braid as braid_mod
-            source = braid_mod.braid_arrangement(args.braid)
-        elif args.graph is not None:
-            source = parse_input(args.graph)
-            if isinstance(source, Arrangement):
-                raise InputError("%s does not contain a graph" % args.graph)
+            arr, graph = braid_mod.braid_arrangement(args.braid), None
         else:
-            source = parse_input(args.input)
-        arr, _ = _prepare(source)
+            source = parse_input(args.input if args.graph is None
+                                 else args.graph)
+            if not isinstance(source, Arrangement):
+                from . import formality
+                arr, graph = formality.graphic_arrangement(source), source
+            elif args.graph is not None:
+                raise InputError("%s does not contain a graph" % args.graph)
+            else:
+                arr, graph = source, None
         model = functools.cache(lambda: cohomology.full_model(arr))
-        result = COMMANDS[args.cmd](source, args, model)
+        result = COMMANDS[args.cmd](arr, graph, args, model)
         code = 0
         if args.cmd == "verify-all" and not result["ok"]:
             code = 2
         if args.verify and args.cmd != "verify-all":
-            vres = cmd_verify_all(source, args, model)
+            vres = cmd_verify_all(arr, graph, args, model)
             result["verify"] = vres["verify"]
             if not vres["ok"]:
                 code = 2

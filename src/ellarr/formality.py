@@ -9,14 +9,11 @@ exists, or the three vanishing cohomology groups when none does.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from fractions import Fraction
 
 from . import cohomology, exactlin
 from .arrangement import Arrangement, Frozen
 from .model import add
-
-_ZERO = Fraction(0)
 
 
 class SimpleGraph(Frozen):
@@ -78,15 +75,17 @@ def graphic_arrangement(graph: SimpleGraph) -> Arrangement:
 
 
 class GraphicModel:
-    """Cached model and degree-wise matrices for one graph."""
+    """Degree-wise bases and differential columns of a graph's model.
 
-    def __init__(self, graph: SimpleGraph):
-        self.graph = graph
-        self.arrangement = graphic_arrangement(graph)
-        self.model = cohomology.full_model(self.arrangement)
+    ``model`` is the ``TensorModel`` of a graphic arrangement, built by the
+    caller.
+    """
+
+    def __init__(self, model):
+        self.model = model
         self._deg_basis: dict[int, list] = {}
         self._deg_index: dict[int, dict] = {}
-        self._d_matrix: dict[int, list[list[Fraction]]] = {}
+        self._d_cols: dict[int, list[dict[int, int | Fraction]]] = {}
 
     def degree_basis(self, k: int) -> list:
         got = self._deg_basis.get(k)
@@ -104,61 +103,46 @@ class GraphicModel:
         self.degree_basis(k)
         return self._deg_index[k]
 
-    def d_matrix(self, k: int) -> list[list[Fraction]]:
-        """Matrix of the differential from total degree k to k+1 (rows=target)."""
-        got = self._d_matrix.get(k)
-        if got is not None:
-            return got
-        src = self.degree_basis(k)
+    def d_matrix(self, k: int) -> list[dict[int, int | Fraction]]:
+        """Sparse columns {row: value} of d from total degree k to k+1."""
+        got = self._d_cols.get(k)
+        if got is None:
+            tgt_index = self.degree_index(k + 1)
+            got = [{tgt_index[m]: c
+                    for m, c in self.model.d({mono: 1}).items()}
+                   for mono in self.degree_basis(k)]
+            self._d_cols[k] = got
+        return got
+
+    def twisted_matrix(self, z, k: int) -> list[dict[int, int | Fraction]]:
+        """Sparse columns of e -> z e + d e from degree k to k+1.
+
+        For z = {} this is ``d_matrix(k)`` itself, which callers must not
+        modify.
+        """
+        cols = self.d_matrix(k)
+        if not z:
+            return cols
         tgt_index = self.degree_index(k + 1)
-        mat = [[_ZERO] * len(src) for _ in range(len(tgt_index))]
-        for col, mono in enumerate(src):
-            for m, c in self.model.d({mono: Fraction(1)}).items():
-                mat[tgt_index[m]][col] = c
-        self._d_matrix[k] = mat
-        return mat
-
-    def one_form(self, xcoeffs: Sequence, ycoeffs: Sequence):
-        return self.model.one_form(xcoeffs, ycoeffs)
-
-    def closed_degree_one(self, elem) -> bool:
-        return not self.model.d(elem)
-
-    def twisted_matrix(self, z, k: int) -> list[dict[int, Fraction]]:
-        """Sparse columns {row: value} of e -> z e + d e from degree k to k+1."""
-        tgt_index = self.degree_index(k + 1)
-        cols = []
-        for mono in self.degree_basis(k):
-            elem = {mono: Fraction(1)}
-            image = add(self.model.multiply(z, elem), self.model.d(elem))
-            cols.append({tgt_index[m]: c for m, c in image.items()})
-        return cols
+        return [add(dcol, {tgt_index[m]: c
+                           for m, c in self.model.multiply(z, {mono: 1}).items()})
+                for mono, dcol in zip(self.degree_basis(k), cols)]
 
     def kernel_degree_one(self) -> list:
         """Basis of the closed degree-1 elements, as model elements."""
         src = self.degree_basis(1)
-        mat = self.d_matrix(1)
-        if not mat:
-            return [{m: Fraction(1)} for m in src]
-        kernel = exactlin.kernel_basis(mat)
-        out = []
-        for vec in kernel:
-            out.append({src[i]: vec[i] for i in range(len(src)) if vec[i]})
-        return out
+        rows = len(self.degree_basis(2))
+        if not rows:
+            return [{m: 1} for m in src]
+        cols = self.d_matrix(1)
+        dense = [[col.get(r, 0) for col in cols] for r in range(rows)]
+        return [{src[i]: v for i, v in enumerate(vec) if v}
+                for vec in exactlin.kernel_basis(dense)]
 
 
-def _coerce(source, z):
-    """Accept a graph or a cached model; z as an element or (xvec, yvec)."""
-    gm = source if isinstance(source, GraphicModel) else GraphicModel(source)
-    if isinstance(z, tuple) and len(z) == 2 and not isinstance(z, dict):
-        z = gm.one_form(*z)
-    return gm, z
-
-
-def twisted_cohomology_h1(source, z) -> int:
+def twisted_cohomology_h1(gm: GraphicModel, z) -> int:
     """dim H^1 of the model with the twisted differential z*(-) + d."""
-    gm, z = _coerce(source, z)
-    if not gm.closed_degree_one(z):
+    if gm.model.d(z):
         raise ValueError("twisting class must be closed of degree one")
     dim1 = len(gm.degree_basis(1))
     rank1 = exactlin.sparse_rank(gm.twisted_matrix(z, 1))
@@ -166,9 +150,8 @@ def twisted_cohomology_h1(source, z) -> int:
     return dim1 - rank1 - rank0
 
 
-def resonance_membership_page2(source, z) -> bool:
+def resonance_membership_page2(gm: GraphicModel, z) -> bool:
     """Is z in the degree-one resonance locus of the model itself?"""
-    gm, z = _coerce(source, z)
     return twisted_cohomology_h1(gm, z) > 0
 
 
@@ -198,19 +181,18 @@ def _parallel(v, w) -> bool:
     return all(v[k] == f * w[k] for k in range(len(v)))
 
 
-def resonance_membership_page3(source, z) -> bool:
+def resonance_membership_page3(gm: GraphicModel, z) -> bool:
     """Is z resonant for the cohomology algebra with zero differential?
 
     Since the degree-0 differential vanishes, this asks for a degree-one
     cocycle w, independent of z, with z*w exact in the model.
     """
-    gm, z = _coerce(source, z)
-    if not gm.closed_degree_one(z):
+    if gm.model.d(z):
         raise ValueError("twisting class must be closed of degree one")
     if not z:
         return True
     kernel = gm.kernel_degree_one()
-    d1 = gm.twisted_matrix({}, 1)
+    d1 = gm.d_matrix(1)
     idx2 = gm.degree_index(2)
     prods = []
     for w in kernel:
@@ -235,22 +217,30 @@ def triangle_witness(graph: SimpleGraph) -> dict | None:
     return {"triangle": tri, "xcoeffs": xcoeffs, "ycoeffs": [0] * graph.n}
 
 
-def verify_triangle_free_vanishing(graph: SimpleGraph) -> dict:
-    """The three low-degree obstruction spaces of a triangle-free graph."""
-    _, t3 = cohomology.betti_tables(graphic_arrangement(graph), max_degree=2)
+def verify_triangle_free_vanishing(model) -> dict:
+    """The three low-degree obstruction spaces of a triangle-free graph.
+
+    ``model`` is the ``TensorModel`` of its graphic arrangement.
+    """
+    _, t3 = cohomology.betti_tables(model, max_degree=2)
     values = {"e3_0_1": t3.dim(0, 1), "e3_0_2": t3.dim(0, 2),
               "e3_1_1": t3.dim(1, 1)}
     return {"ok": all(v == 0 for v in values.values()), "values": values}
 
 
-def is_one_formal(graph: SimpleGraph) -> tuple[bool, dict]:
-    """Triangle criterion plus an exact-linear-algebra certificate."""
+def is_one_formal(graph: SimpleGraph, model) -> tuple[bool, dict]:
+    """Triangle criterion plus an exact-linear-algebra certificate.
+
+    ``model`` is the ``TensorModel`` of a graphic arrangement of ``graph``
+    whose ambient coordinates are its vertices; its columns may come in any
+    order and sign.
+    """
     witness = triangle_witness(graph)
     if witness is None:
-        report = verify_triangle_free_vanishing(graph)
+        report = verify_triangle_free_vanishing(model)
         return True, {"one_formal": True, "vanishing": report}
-    gm = GraphicModel(graph)
-    z = gm.one_form(witness["xcoeffs"], witness["ycoeffs"])
+    gm = GraphicModel(model)
+    z = model.one_form(witness["xcoeffs"], witness["ycoeffs"])
     in_page3 = resonance_membership_page3(gm, z)
     in_page2 = resonance_membership_page2(gm, z)
     cert = dict(witness)
@@ -261,15 +251,16 @@ def is_one_formal(graph: SimpleGraph) -> tuple[bool, dict]:
     return False, cert
 
 
-def one_isomorphism_report(graph: SimpleGraph) -> dict:
+def one_isomorphism_report(graph: SimpleGraph, model) -> dict:
     """Dimension comparison with the quotient algebra used for formality.
 
     The quotient keeps only the top row modulo the differential's image, an
     exterior algebra modulo one quadric per edge; its low-degree dimensions
     must match the model's cohomology in degrees 0 and 1 and bound it in
-    degree 2.
+    degree 2.  ``model`` is the ``TensorModel`` of a graphic arrangement of
+    ``graph``.
     """
-    _, t3 = cohomology.betti_tables(graphic_arrangement(graph), max_degree=2)
+    _, t3 = cohomology.betti_tables(model, max_degree=2)
     n2 = 2 * graph.n
     h0 = t3.dim(0, 0)
     h1 = sum(t3.dim(p, q) for p, q in ((1, 0), (0, 1)))

@@ -233,7 +233,8 @@ def test_criterion_10_representation_bookkeeping(braid_models):
 def test_criterion_11_formality(graph_census):
     ok = True
     for graph in graph_census:
-        formal, cert = formality.is_one_formal(graph)
+        full = cohomology.full_model(formality.graphic_arrangement(graph))
+        formal, cert = formality.is_one_formal(graph, full)
         if formal != (graph.has_triangle() is None):
             ok = False
         if formal:
@@ -243,8 +244,9 @@ def test_criterion_11_formality(graph_census):
             if not cert["gap_certified"]:
                 ok = False
     k3 = formality.complete_graph(3)
-    gm = formality.GraphicModel(k3)
-    z = gm.one_form([2, -1, -1], [0, 0, 0])
+    gm = formality.GraphicModel(
+        cohomology.full_model(formality.graphic_arrangement(k3)))
+    z = gm.model.one_form([2, -1, -1], [0, 0, 0])
     ok &= formality.resonance_membership_page3(gm, z)
     ok &= not formality.resonance_membership_page2(gm, z)
     report(11, "triangle criterion with certificates on all graphs <= 5 "

@@ -5,13 +5,30 @@ from fractions import Fraction
 
 import pytest
 
-from ellarr import braid, cli, exactlin
+from ellarr import arrangement as arr_mod
+from ellarr import braid, cli, exactlin, formality
 from ellarr.model import BigradedDGA
 
 
 # Braid columns with one translated divisor: not a braid input.
 TRANSLATED_BRAID3 = ('{"n": 3, "divisors": [[1, -1, 0], [1, 0, -1], [0, 1, -1]], '
                      '"offsets": [["1/2", "0"], ["0", "0"], ["0", "0"]]}')
+
+
+# Graphs by name, as (vertices, edges).
+GRAPHS = {
+    "k3": (3, [[1, 2], [1, 3], [2, 3]]),
+    "c4": (4, [[1, 2], [2, 3], [3, 4], [1, 4]]),
+    "k4": (4, [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]),
+    "c5": (5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]),
+    "paw": (4, [[1, 2], [1, 3], [2, 3], [3, 4]]),
+    "triangle-tail": (5, [[1, 2], [1, 3], [2, 3], [3, 4], [4, 5]]),
+}
+
+
+def graph_json(name) -> str:
+    n, edges = GRAPHS[name]
+    return json.dumps({"graph": {"vertices": n, "edges": edges}})
 
 
 def run_cli(args):
@@ -206,6 +223,38 @@ class TestCommands:
         code, _ = run_cli(["--braid", "3", "--cmd", "betti", "--rep-bound", "0"])
         assert code == 2
 
+    def test_verify_all_requires_vanishing_certificate(self, monkeypatch,
+                                                       tmp_path):
+        # a triangle-free graph is formal only with its vanishing report
+        path = tmp_path / "c4.json"
+        path.write_text(graph_json("c4"))
+        monkeypatch.setattr(formality, "verify_triangle_free_vanishing",
+                            lambda model: {"ok": False, "values": {}})
+        code, out = run_cli(["--graph", str(path), "--cmd", "verify-all"])
+        data = json.loads(out)
+        assert code == 2 and data["ok"] is False
+        failed = [c["check"] for c in data["verify"] if not c["ok"]]
+        assert failed == ["formality-criterion"]
+
+    @pytest.mark.parametrize("name", ["k4", "c5", "paw", "triangle-tail"])
+    def test_formality_matrix_input_matches_graph(self, tmp_path, name):
+        # permuted columns with flipped signs present the same graph
+        n, edges = GRAPHS[name]
+        cols = []
+        for k, (i, j) in enumerate(edges):
+            col = [0] * n
+            col[i - 1], col[j - 1] = (1, -1) if k % 2 else (-1, 1)
+            cols.append(col)
+        cols = cols[1::2] + cols[::2][::-1]
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({"n": n, "divisors": cols}))
+        graph = tmp_path / "graph.json"
+        graph.write_text(graph_json(name))
+        code_m, out_m = run_cli(["--input", str(matrix), "--cmd", "formality"])
+        code_g, out_g = run_cli(["--graph", str(graph), "--cmd", "formality"])
+        assert code_m == code_g == 0
+        assert out_m == out_g
+
     def test_verify_all_n1_skips_braid_checks(self, tmp_path):
         path = tmp_path / "n1.json"
         path.write_text('{"n": 1, "divisors": [[1], [-1]]}')
@@ -374,25 +423,44 @@ class TestLeanImports:
 class TestSharedModel:
     """Each run builds the input's model once and computes only what it prints."""
 
+    GRAPH_RUNS = [(g, cmd) for g in ("k3", "c4")
+                  for cmd in ("formality", "verify-all", "betti")]
+
     @pytest.mark.parametrize("argv", [
         ["--braid", "4", "--cmd", "braid-table"],
         ["--braid", "4", "--cmd", "verify-all"],
         ["--cmd", "betti", "--verify"],
-    ], ids=["braid-table", "braid-verify-all", "betti-verify"])
-    def test_one_model_per_run(self, monkeypatch, example_file, argv):
+    ] + [["--graph", g, "--cmd", cmd] + (["--verify"] if cmd != "verify-all"
+                                          else [])
+         for g, cmd in GRAPH_RUNS],
+        ids=["braid-table", "braid-verify-all", "betti-verify"]
+        + ["%s-%s" % run for run in GRAPH_RUNS])
+    def test_one_model_per_run(self, monkeypatch, tmp_path, example_file,
+                               argv):
         braid.braid_full_model.cache_clear()
         built = []
+        posets = []
         init = BigradedDGA.__init__
+        build_poset = arr_mod.build_poset
 
         def counting(self, *args, **kwargs):
             built.append(self)
             init(self, *args, **kwargs)
 
+        def counting_poset(arr):
+            posets.append(arr)
+            return build_poset(arr)
+
         monkeypatch.setattr(BigradedDGA, "__init__", counting)
-        if "--braid" not in argv:
+        monkeypatch.setattr(arr_mod, "build_poset", counting_poset)
+        if argv[0] == "--graph":
+            path = tmp_path / "graph.json"
+            path.write_text(graph_json(argv[1]))
+            argv = ["--graph", str(path)] + argv[2:]
+        elif "--braid" not in argv:
             argv = ["--input", example_file] + argv
         code, _ = run_cli(argv)
-        assert code == 0 and len(built) == 1
+        assert code == 0 and len(built) == 1 and len(posets) == 1
 
     def test_rep_decompose_computes_no_ranks(self, monkeypatch):
         calls = []

@@ -65,15 +65,14 @@ class TestMoebiusEuler:
         assert cohomology.euler_characteristic(arr) == -3
 
 
-def graphic_circuit_cocycle(gm, cycle, kind):
+def graphic_circuit_cocycle(full, graph, cycle, kind):
     """Circuit cocycle built inside the full model of a graph.
 
     ``cycle`` is a vertex list; edges must belong to the graph.
     """
-    full = gm.model
-    n = gm.graph.n
+    n = graph.n
     edges = list(zip(cycle, list(cycle[1:]) + [cycle[0]]))
-    col_of = {e: i for i, e in enumerate(gm.graph.edges)}
+    col_of = {e: i for i, e in enumerate(graph.edges)}
     k = len(edges)
     total = {}
     for i in range(k):
@@ -88,7 +87,7 @@ def graphic_circuit_cocycle(gm, cycle, kind):
             for (a, b) in (edges[x] for x in range(k) if x not in (i, j)):
                 col = col_of[(min(a, b), max(a, b))]
                 rest = full.multiply(rest, full.include_core(
-                    gm.model.core.omega_generators(col)))
+                    full.core.omega_generators(col)))
             term = full.multiply(form, rest)
             sign = -1 if (i + j) % 2 else 1
             for m, c in term.items():
@@ -139,18 +138,20 @@ class TestGraphicCocycles:
         ((1, 2, 3), ((1, 2), (2, 3), (1, 3), (3, 4)), 4),
     ])
     def test_closed_and_nonzero(self, cycle, edges, n):
-        gm = formality.GraphicModel(formality.SimpleGraph(n, edges))
+        graph = formality.SimpleGraph(n, edges)
+        full = cohomology.full_model(formality.graphic_arrangement(graph))
         for kind in (0, 1):
-            lc = graphic_circuit_cocycle(gm, cycle, kind)
+            lc = graphic_circuit_cocycle(full, graph, cycle, kind)
             assert lc, "cocycle vanished"
-            assert gm.model.d(lc) == {}
+            assert full.d(lc) == {}
             # nothing maps into column p = 1, so the class itself is nonzero
-            degs = {gm.model.bidegree_of(m) for m in lc}
+            degs = {full.bidegree_of(m) for m in lc}
             assert degs == {(1, len(cycle) - 2)}
 
     def test_matches_braid_route_on_complete_graph(self):
-        gm = formality.GraphicModel(formality.complete_graph(4))
-        lc_graph = graphic_circuit_cocycle(gm, (4, 3, 1, 2), 0)
+        k4 = formality.complete_graph(4)
+        full_k4 = cohomology.full_model(formality.graphic_arrangement(k4))
+        lc_graph = graphic_circuit_cocycle(full_k4, k4, (4, 3, 1, 2), 0)
         full = braid.braid_full_model(4)
         model = full.core
         circ = braid.Circuit([(4, 3), (3, 1), (1, 2), (2, 4)])
@@ -158,7 +159,7 @@ class TestGraphicCocycles:
         # same element after mapping the reduced-model route into a full
         # model: compare through dimensions and pairing-free invariants
         assert len(lc_braid) > 0 and len(lc_graph) > 0
-        assert gm.model.d(lc_graph) == {} and model.d(lc_braid) == {}
+        assert full_k4.d(lc_graph) == {} and model.d(lc_braid) == {}
 
 
 class TestSparseDenseAgreement:

@@ -3,12 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from ellarr import braid, cohomology, formality as fo
+from ellarr import braid, cohomology, exactlin, formality as fo
+from ellarr.model import add
+
+
+def full(graph):
+    """The model the CLI builds for a graph input."""
+    return cohomology.full_model(fo.graphic_arrangement(graph))
 
 
 @pytest.fixture(scope="module")
 def k3_model():
-    return fo.GraphicModel(fo.complete_graph(3))
+    return fo.GraphicModel(full(fo.complete_graph(3)))
 
 
 class TestGraphs:
@@ -50,14 +56,29 @@ class TestTwistedCohomology:
         assert fo.twisted_cohomology_h1(k3_model, {}) == 6
 
     def test_edge_class_resonant(self, k3_model):
-        z = k3_model.one_form([1, -1, 0], [0, 0, 0])
+        z = k3_model.model.one_form([1, -1, 0], [0, 0, 0])
         assert fo.twisted_cohomology_h1(k3_model, z) >= 1
         assert fo.resonance_membership_page2(k3_model, z)
 
     def test_generic_class_not_resonant(self, k3_model):
-        z = k3_model.one_form([1, -1, 0], [0, 0, 1])
+        z = k3_model.model.one_form([1, -1, 0], [0, 0, 1])
         assert fo.twisted_cohomology_h1(k3_model, z) == 0
         assert not fo.resonance_membership_page2(k3_model, z)
+
+    def test_one_differential_builder(self, k3_model):
+        # twisting by zero is d itself; otherwise d's columns plus z*e
+        gm = k3_model
+        assert gm.twisted_matrix({}, 1) is gm.d_matrix(1)
+        z = gm.model.one_form([2, -1, -1], [0, 1, -1])
+        idx2 = gm.degree_index(2)
+        for mono, col in zip(gm.degree_basis(1), gm.twisted_matrix(z, 1)):
+            e = {mono: 1}
+            image = add(gm.model.multiply(z, e), gm.model.d(e))
+            assert col == {idx2[m]: c for m, c in image.items()}
+        kernel = gm.kernel_degree_one()
+        assert all(not gm.model.d(w) for w in kernel)
+        assert len(kernel) == (len(gm.degree_basis(1))
+                               - exactlin.sparse_rank(gm.d_matrix(1)))
 
     def test_non_closed_rejected(self, k3_model):
         w = k3_model.model.basis(0, 1)[0]
@@ -70,7 +91,7 @@ class TestTwistedCohomology:
                   fo.SimpleGraph(4, ((1, 2), (2, 3), (3, 4), (1, 4))),
                   fo.SimpleGraph(4, ((1, 2), (2, 3), (1, 3), (3, 4)))]
         for graph in graphs:
-            gm = fo.GraphicModel(graph)
+            gm = fo.GraphicModel(full(graph))
             n = graph.n
             for _ in range(25):
                 if rng.random() < 0.5:
@@ -86,7 +107,7 @@ class TestTwistedCohomology:
                     xv = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
                     yv = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
                 closed_form = fo.resonance_closed_form_page2(graph, xv, yv)
-                z = gm.one_form(xv, yv)
+                z = gm.model.one_form(xv, yv)
                 computed = fo.resonance_membership_page2(gm, z)
                 assert computed == closed_form, (graph, xv, yv)
 
@@ -94,46 +115,39 @@ class TestTwistedCohomology:
         # one hundred total sampled classes across the two routes
         rng = random.Random(314159)
         graph = fo.SimpleGraph(4, ((1, 2), (1, 3), (2, 3), (1, 4)))
-        gm = fo.GraphicModel(graph)
+        gm = fo.GraphicModel(full(graph))
         for _ in range(25):
             xv = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]
             yv = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]
-            assert (fo.resonance_membership_page2(gm, gm.one_form(xv, yv))
+            assert (fo.resonance_membership_page2(gm, gm.model.one_form(xv, yv))
                     == fo.resonance_closed_form_page2(graph, xv, yv))
 
 
 class TestResonanceGap:
     def test_k3_witness(self, k3_model):
-        z = k3_model.one_form([2, -1, -1], [0, 0, 0])
+        z = k3_model.model.one_form([2, -1, -1], [0, 0, 0])
         assert fo.resonance_membership_page3(k3_model, z)
         assert not fo.resonance_membership_page2(k3_model, z)
 
     def test_k3_quadric_identity(self, k3_model):
         # the witness annihilates a matching one-form in the cohomology ring
         gm = k3_model
-        z = gm.one_form([2, -1, -1], [0, 0, 0])
-        w = gm.one_form([0, 0, 0], [2, -1, -1])
+        z = gm.model.one_form([2, -1, -1], [0, 0, 0])
+        w = gm.model.one_form([0, 0, 0], [2, -1, -1])
         zw = gm.model.multiply(z, w)
         # z*w is a coboundary: solve d1 * c = zw
-        from ellarr import exactlin
         idx2 = gm.degree_index(2)
-        mat = gm.d_matrix(1)
+        mat = [[col.get(r, 0) for col in gm.d_matrix(1)]
+               for r in range(len(idx2))]
         rhs = [[Fraction(0)] for _ in idx2]
         for m, c in zw.items():
             rhs[idx2[m]][0] = c
         assert exactlin.solve_linear(mat, rhs) is not None
 
     def test_edge_class_in_both(self, k3_model):
-        z = k3_model.one_form([1, -1, 0], [0, 0, 0])
+        z = k3_model.model.one_form([1, -1, 0], [0, 0, 0])
         assert fo.resonance_membership_page2(k3_model, z)
         assert fo.resonance_membership_page3(k3_model, z)
-
-    def test_graph_level_api(self):
-        # graphs and coefficient pairs are accepted directly
-        k3 = fo.complete_graph(3)
-        assert fo.resonance_membership_page3(k3, ([2, -1, -1], [0, 0, 0]))
-        assert not fo.resonance_membership_page2(k3, ([2, -1, -1], [0, 0, 0]))
-        assert fo.twisted_cohomology_h1(k3, ([0, 0, 0], [0, 0, 0])) == 6
 
 
 class TestTriangleFreeVanishing:
@@ -144,11 +158,12 @@ class TestTriangleFreeVanishing:
         (((1, 2), (1, 3), (1, 4), (1, 5)), 5),      # star
     ])
     def test_triangle_free_vanishing(self, edges, n):
-        report = fo.verify_triangle_free_vanishing(fo.SimpleGraph(n, edges))
+        report = fo.verify_triangle_free_vanishing(
+            full(fo.SimpleGraph(n, edges)))
         assert report["ok"], report
 
     def test_k3_kernel_dimension(self):
-        report = fo.verify_triangle_free_vanishing(fo.complete_graph(3))
+        report = fo.verify_triangle_free_vanishing(full(fo.complete_graph(3)))
         assert not report["ok"]
         assert report["values"]["e3_1_1"] == 2
         assert report["values"]["e3_0_1"] == 0
@@ -157,7 +172,8 @@ class TestTriangleFreeVanishing:
 
 class TestOneFormal:
     def test_k3(self):
-        formal, cert = fo.is_one_formal(fo.complete_graph(3))
+        k3 = fo.complete_graph(3)
+        formal, cert = fo.is_one_formal(k3, full(k3))
         assert not formal
         assert cert["gap_certified"]
         assert cert["xcoeffs"] == [2, -1, -1]
@@ -165,22 +181,24 @@ class TestOneFormal:
     def test_trees(self):
         for edges, n in [(((1, 2),), 2), (((1, 2), (2, 3)), 3),
                          (((1, 2), (1, 3), (1, 4)), 4)]:
-            formal, cert = fo.is_one_formal(fo.SimpleGraph(n, edges))
+            graph = fo.SimpleGraph(n, edges)
+            formal, cert = fo.is_one_formal(graph, full(graph))
             assert formal and cert["vanishing"]["ok"]
 
     def test_four_cycle(self):
-        formal, cert = fo.is_one_formal(
-            fo.SimpleGraph(4, ((1, 2), (2, 3), (3, 4), (1, 4))))
+        graph = fo.SimpleGraph(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
+        formal, cert = fo.is_one_formal(graph, full(graph))
         assert formal
 
     def test_k4(self):
-        formal, cert = fo.is_one_formal(fo.complete_graph(4))
+        k4 = fo.complete_graph(4)
+        formal, cert = fo.is_one_formal(k4, full(k4))
         assert not formal and cert["gap_certified"]
 
     @pytest.mark.parametrize("max_n", [4])
     def test_census_agreement(self, max_n):
         for graph in fo.enumerate_graphs(max_n):
-            formal, cert = fo.is_one_formal(graph)
+            formal, cert = fo.is_one_formal(graph, full(graph))
             assert formal == (graph.has_triangle() is None)
             if not formal:
                 assert cert["gap_certified"]
@@ -193,5 +211,6 @@ class TestQuotientComparison:
         ((), 2),
     ])
     def test_one_isomorphism_dimensions(self, edges, n):
-        report = fo.one_isomorphism_report(fo.SimpleGraph(n, edges))
+        graph = fo.SimpleGraph(n, edges)
+        report = fo.one_isomorphism_report(graph, full(graph))
         assert report["ok"], report
