@@ -301,6 +301,14 @@ def components_of(arr: Arrangement, independent: Sequence[int]) -> list[Layer]:
     return layers
 
 
+def _mask(indices: Iterable[int]) -> int:
+    """The int bitmask of an index set: bit i stands for column i."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
 def _span(arr: Arrangement, lattice) -> frozenset[int]:
     """Columns in the rational span of a lattice's Hermite basis.
 
@@ -333,15 +341,20 @@ class LayerPoset:
     a's key equals a's lattice paired with a point of b.  So for each b and
     each distinct lattice M of lower rank with span(M) <= span(b), at most
     one layer, the one keyed by M and b's pairings, lies below b.
+
+    ``assoc`` maps each independent set to the sorted indices of its
+    layers.  A set is keyed by its int bitmask (bit i stands for column i),
+    and equal index tuples are one shared object, so the map holds one int
+    per set and one tuple per distinct association; `layers_associated`
+    takes the set as indices.
     """
 
     def __init__(self, arr: Arrangement, layers: list[Layer],
-                 assoc: dict[frozenset[int], tuple[int, ...]],
+                 assoc: dict[int, tuple[int, ...]],
                  span: dict[tuple, frozenset[int]], den: int,
                  points: list[tuple]):
-        """``assoc`` maps each independent set to its sorted layer indices;
-        ``points[i]`` is layer i's (t1, t2, w1, w2) as integer numerators
-        over ``den``."""
+        """``points[i]`` is layer i's (t1, t2, w1, w2) as integer
+        numerators over ``den``."""
         self.arrangement = arr
         self.layers = layers
         self.assoc = assoc
@@ -398,7 +411,9 @@ class LayerPoset:
         return out
 
     def layers_associated(self, indices) -> tuple[int, ...]:
-        return self.assoc.get(frozenset(indices), ())
+        """Sorted indices of the layers of an independent set, () when
+        the set is dependent."""
+        return self.assoc.get(_mask(indices), ())
 
     def component_inside(self, indices, inner: int) -> int | None:
         """The layer associated to ``indices`` containing layer ``inner``."""
@@ -422,30 +437,34 @@ def build_poset(arr: Arrangement) -> LayerPoset:
     the lcm of theirs, on which the sort, flats and containment run in
     integers; numerators over D sort as the Fractions do.  Spans are
     computed once per distinct lattice and flats once per deduplicated
-    layer, not per associated set.
+    layer, not per associated set.  Each set's association is written
+    under its bitmask as an interned tuple of first-seen ids, renumbered
+    to sorted layer indices once per distinct tuple at the end.
     """
     den0, offsets0 = _offset_numerators(arr)
     seen: dict[tuple, int] = {}        # reduced key -> first-seen id
     found: list[tuple] = []            # id -> (den, rank, lattice, t1, ...)
-    assoc_ids: dict[frozenset[int], list[int]] = {}
-    untwisted: dict[tuple, list] = {}
+    assoc: dict[int, tuple[int, ...]] = {}   # set mask -> first-seen ids
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+    untwisted: dict[tuple, tuple[int, ...]] = {}
     for ind in independent_sets(arr):
+        row_lattice = None
         if ind and not any(any(arr.offsets[i]) for i in ind):
             row_lattice = exactlin.hermite_row_basis(arr.submatrix_t(ind))
-            keyed = untwisted.get(row_lattice)
-            if keyed is None:
-                keyed = untwisted[row_lattice] = _keyed_components(
-                    arr, ind, den0, offsets0)
-        else:
-            keyed = _keyed_components(arr, ind, den0, offsets0)
-        ids = []
-        for key, comp in keyed:
-            lid = seen.get(key)
-            if lid is None:
-                lid = seen[key] = len(found)
-                found.append(comp)
-            ids.append(lid)
-        assoc_ids[frozenset(ind)] = ids
+        ids = untwisted.get(row_lattice)
+        if ids is None:
+            ids = []
+            for key, comp in _keyed_components(arr, ind, den0, offsets0):
+                lid = seen.get(key)
+                if lid is None:
+                    lid = seen[key] = len(found)
+                    found.append(comp)
+                ids.append(lid)
+            ids = tuple(ids)
+            ids = interned.setdefault(ids, ids)
+            if row_lattice is not None:
+                untwisted[row_lattice] = ids
+        assoc[_mask(ind)] = ids
     den = lcm(*(comp[0] for comp in found))
     scaled = []
     for lid, (own, rank, lattice, *nums) in enumerate(found):
@@ -473,8 +492,12 @@ def build_poset(arr: Arrangement) -> LayerPoset:
                                           w1, w2),
                             index=i))
         points.append((t1, t2, w1, w2))
-    assoc = {iset: tuple(sorted(position[lid] for lid in ids))
-             for iset, ids in assoc_ids.items()}
+    by_position: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for ids in interned:
+        lids = tuple(sorted(position[lid] for lid in ids))
+        interned[ids] = by_position.setdefault(lids, lids)
+    for mask, ids in assoc.items():
+        assoc[mask] = interned[ids]
     return LayerPoset(arr, layers, assoc, span, den, points)
 
 

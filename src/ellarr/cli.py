@@ -271,7 +271,7 @@ def cmd_verify_all(arr, graph, args, model) -> dict:
     dd_ok = True
     for (p, q) in dga.bidegrees():
         for mono in dga.basis(p, q):
-            if dga.d(dga.d({mono: Fraction(1)})):
+            if dga.d(dga.d({mono: 1})):
                 dd_ok = False
     check("d-squared-zero", dd_ok)
 
@@ -297,8 +297,8 @@ def cmd_verify_all(arr, graph, args, model) -> dict:
     for _ in range(pairs):
         m1 = rng.choice(monos)
         m2 = rng.choice(monos)
-        e1 = {m1: Fraction(1)}
-        e2 = {m2: Fraction(1)}
+        e1 = {m1: 1}
+        e2 = {m2: 1}
         prod = dga.multiply(e1, e2)
         lhs = dga.d(prod)
         sign = -1 if (len(m1[2]) + len(m1[1])) % 2 else 1

@@ -485,8 +485,15 @@ def sparse_rank(columns: list[dict[int, int | Fraction]]) -> int:
 
 
 def _primitive(col) -> dict[int, int]:
-    """Nonzero entries of an int or Fraction column, scaled to coprime ints."""
-    den = lcm(*(x.denominator for x in col.values()))
+    """Nonzero entries of an int or Fraction column, scaled to coprime ints.
+
+    A column that already is one, nonzero ints with gcd 1, is returned
+    itself, not copied.
+    """
+    vals = col.values()
+    if all(x and type(x) is int for x in vals) and gcd(*vals) == 1:
+        return col
+    den = lcm(*(x.denominator for x in vals))
     out = {r: x.numerator * (den // x.denominator)
            for r, x in col.items() if x}
     g = gcd(*out.values())
@@ -507,9 +514,14 @@ def _column_rank(columns) -> int:
     division by the content gcd.  A column whose lowest row is new becomes
     a pivot; one reduced to zero is dependent.  Stored pivots have distinct
     lowest rows, so they are independent and their count is the rank.
+
+    Copy on write: a column that is already primitive is the caller's own
+    dict until its first reduction step copies it, and stored pivots are
+    only read, so the input columns are never modified.
     """
     pivots: dict[int, dict[int, int]] = {}
     for col in sorted(map(_primitive, columns), key=len):
+        owned = False
         while col:
             low = min(col)
             piv = pivots.get(low)
@@ -524,6 +536,9 @@ def _column_rank(columns) -> int:
                 col = {r: p * x for r, x in col.items()}
             else:
                 t //= p
+                if not owned:
+                    col = dict(col)
+            owned = True
             for r, x in piv.items():
                 v = col.get(r, 0) - t * x
                 if v:

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 from fractions import Fraction
 from math import gcd, prod
 
@@ -329,7 +330,7 @@ def assert_poset_matches_oracle(arr):
                 assert not poset.leq(b, a)
                 assert poset._above[b] & ~poset._above[a] == 0
     for iset, lids in poset.assoc.items():
-        assert all(poset.rank(lid) == len(iset) for lid in lids)
+        assert all(poset.rank(lid) == iset.bit_count() for lid in lids)
     assert poset.covers() == [(a, b) for a in range(poset.size)
                               for b in range(poset.size)
                               if poset.rank(b) == poset.rank(a) + 1
@@ -379,6 +380,60 @@ class TestPosetOracle:
             assert_poset_matches_oracle(arr)
 
         check()
+
+
+def assert_assoc_matches_oracle(arr):
+    # every independent set is associated to the layers of its rank whose
+    # flat holds it, keyed by its bitmask; equal tuples are one object
+    poset = arr_mod.build_poset(arr)
+    isets = arr_mod.independent_sets(arr)
+    assert sorted(poset.assoc) == sorted(sum(1 << i for i in ind)
+                                         for ind in isets)
+    shared = {}
+    for ind in isets:
+        want = tuple(lay.index for lay in poset.layers
+                     if lay.rank == len(ind) and set(ind) <= lay.flat)
+        got = poset.layers_associated(ind)
+        assert got == want, ind
+        assert got is shared.setdefault(got, got)
+        assert poset.layers_associated(reversed(ind)) is got
+    return len(isets)
+
+
+class TestAssociationOracle:
+    """`assoc` against the layers whose flats hold each independent set."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_braid(self, n):
+        assert_assoc_matches_oracle(braid_cols(n))
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    def test_worked_example(self, k):
+        assert_assoc_matches_oracle(worked_example(k))
+
+    def test_mixed_denominators(self):
+        assert_assoc_matches_oracle(TestMixedDenominators.MIXED)
+
+    def test_dependent_sets_have_no_layers(self):
+        poset = arr_mod.build_poset(braid_cols(4))
+        assert poset.layers_associated((0, 1, 3)) == ()   # x1-x2, x1-x3, x2-x3
+        assert poset.layers_associated(()) == (0,)
+
+    def test_random_torsion_inputs(self):
+        rng = random.Random(20181)
+        offsets = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]
+        sets = 0
+        for _ in range(200):
+            n = rng.randint(2, 3)
+            size, cols = rng.randint(3, 5), []
+            while len(cols) < size:
+                col = tuple(rng.randint(-2, 2) for _ in range(n))
+                if gcd(*col) == 1:
+                    cols.append(col)
+            offs = [(rng.choice(offsets), rng.choice(offsets)) for _ in cols]
+            sets += assert_assoc_matches_oracle(
+                Arrangement(n, tuple(cols), tuple(offs)))
+        assert sets > 2000
 
 
 def assert_layer_order(poset):

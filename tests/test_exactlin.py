@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -324,6 +325,62 @@ class TestSparseRank:
             sparse = [{i: m[i][j] for i in range(rows) if m[i][j]}
                       for j in range(cols)]
             assert exactlin.sparse_rank(sparse) == len(exactlin.rref(m)[1])
+
+
+class TestNoMutation:
+    """The rank kernel shares primitive int columns and writes none."""
+
+    F = Fraction
+    COLUMNS = {
+        "primitive-int": [{0: 1, 1: 2}, {0: 2, 1: 1, 2: 1}, {0: 1, 2: 3},
+                          {0: 3, 1: 3, 2: 4}, {0: -1, 1: -2}, {1: 5, 2: 7}],
+        "non-primitive-int": [{0: 2, 1: 4}, {0: 4, 1: 2, 2: 6},
+                              {0: 6, 1: 12}, {1: 3, 2: 9}, {0: 10, 2: -5}],
+        "fraction": [{0: F(1, 2), 1: F(1, 3)}, {0: F(3, 4), 1: F(1, 2)},
+                     {0: F(1), 2: F(2, 5)}, {0: F(1, 2), 1: F(1, 3), 2: F(1)}],
+        "explicit-zeros": [{0: 1, 1: 0, 2: 2}, {0: 0, 1: 1}, {0: 2, 1: 0},
+                           {0: 1, 1: 1, 2: 0}, {2: 0}, {0: F(0), 1: F(1, 2)}],
+    }
+
+    @staticmethod
+    def snapshot(columns):
+        return [[(r, type(v), v) for r, v in col.items()] for col in columns]
+
+    @pytest.mark.parametrize("kind", sorted(COLUMNS))
+    def test_sparse_rank(self, kind):
+        cols = self.COLUMNS[kind]
+        before = copy.deepcopy(cols)
+        rank = exactlin.sparse_rank(cols)
+        assert self.snapshot(cols) == self.snapshot(before)
+        dense = [[col.get(r, 0) for col in cols] for r in range(3)]
+        assert rank == len(exactlin.rref(dense)[1])
+
+    @pytest.mark.parametrize("kind", sorted(COLUMNS))
+    def test_rational_rank(self, kind):
+        rows = [[col.get(r, 0) for r in range(3)] for col in self.COLUMNS[kind]]
+        before = copy.deepcopy(rows)
+        rank = exactlin.rational_rank(rows)
+        assert [[(type(x), x) for x in row] for row in rows] == [
+            [(type(x), x) for x in row] for row in before]
+        assert rank == len(exactlin.rref(rows)[1])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_mixed(self, seed):
+        rng = random.Random(9000 + seed)
+        entries = [0, 1, -1, 2, -3, 4, Fraction(1, 2), Fraction(-2, 3)]
+        cols = [{r: rng.choice(entries) for r in range(6) if rng.random() < 0.5}
+                for _ in range(rng.randint(2, 9))]
+        before = copy.deepcopy(cols)
+        rank = exactlin.sparse_rank(cols)
+        assert self.snapshot(cols) == self.snapshot(before)
+        dense = [[col.get(r, 0) for col in cols] for r in range(6)]
+        assert rank == len(exactlin.rref(dense)[1])
+
+    def test_primitive_shares_only_primitive_int_columns(self):
+        for kind, cols in self.COLUMNS.items():
+            for col in cols:
+                shared = exactlin._primitive(col) is col
+                assert shared == (kind == "primitive-int"), (kind, col)
 
 
 class TestKernelProperties:

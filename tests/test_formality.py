@@ -195,6 +195,29 @@ class TestOneFormal:
         formal, cert = fo.is_one_formal(k4, full(k4))
         assert not formal and cert["gap_certified"]
 
+    @pytest.mark.parametrize("graph", [
+        fo.complete_graph(4),
+        fo.SimpleGraph(4, ((1, 2), (1, 3), (2, 3), (3, 4)))], ids=["K4", "paw"])
+    def test_ranks_leave_cached_d_matrix(self, graph, monkeypatch):
+        # the rank kernel shares primitive int columns with its caller
+        made = []
+
+        class Recording(fo.GraphicModel):
+            def __init__(self, model):
+                super().__init__(model)
+                made.append(self)
+
+        monkeypatch.setattr(fo, "GraphicModel", Recording)
+        model = full(graph)
+        formal, cert = fo.is_one_formal(graph, model)
+        assert not formal and cert["gap_certified"]
+        (gm,) = made
+        cols = gm.d_matrix(1)
+        fresh = fo.GraphicModel(model).d_matrix(1)
+        assert cols is gm._d_cols[1] and cols is not fresh
+        assert [[(r, type(v), v) for r, v in col.items()] for col in cols] == [
+            [(r, type(v), v) for r, v in col.items()] for col in fresh]
+
     @pytest.mark.parametrize("max_n", [4])
     def test_census_agreement(self, max_n):
         for graph in fo.enumerate_graphs(max_n):
