@@ -10,18 +10,16 @@ from .arrangement import (Arrangement, ArrangementError, Layer, LayerPoset,
                           build_poset, circuits, components_of,
                           independent_sets, is_essential, is_unimodular,
                           nbc_sets, poset_isomorphic)
-from .cohomology import (BettiTable, betti_tables, essentialize,
-                         euler_characteristic, full_model, page2_table,
-                         page3_table, tensor_with_curve, verify_first_column,
-                         verify_vanishing)
+from .cohomology import (BettiTable, betti_tables, essentialize, full_model,
+                         page2_table, page3_table, tensor_with_curve,
+                         verify_first_column, verify_vanishing)
 from .model import BigradedDGA, ModelError, TensorModel, hodge_weight
 
 __all__ = [
     "Arrangement", "ArrangementError", "Layer", "LayerPoset", "BettiTable",
     "BigradedDGA", "ModelError", "TensorModel", "betti_tables",
     "build_poset", "circuits", "components_of", "essentialize",
-    "hodge_weight",
-    "euler_characteristic", "full_model", "independent_sets", "is_essential",
+    "full_model", "hodge_weight", "independent_sets", "is_essential",
     "is_unimodular", "nbc_sets", "page2_table", "page3_table",
     "poset_isomorphic", "tensor_with_curve", "verify_first_column",
     "verify_vanishing",

@@ -396,10 +396,6 @@ class LayerPoset:
     def rank(self, a: int) -> int:
         return self.layers[a].rank
 
-    @property
-    def top_rank(self) -> int:
-        return max(self.by_rank) if self.by_rank else 0
-
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (a, b) with a < b and rank(b) = rank(a) + 1, sorted."""
         out = []
@@ -539,8 +535,7 @@ def arrangement_rank(arr: Arrangement) -> int:
     return exactlin.rational_rank(arr.matrix())
 
 
-def nbc_sets(arr: Arrangement, layer: Layer, _memo: dict | None = None
-             ) -> list[tuple[int, ...]]:
+def nbc_sets(arr: Arrangement, layer: Layer) -> list[tuple[int, ...]]:
     """Full-rank index sets associated to the layer with no broken circuit.
 
     The matroid is the one of the divisors containing the layer, with the
@@ -553,10 +548,6 @@ def nbc_sets(arr: Arrangement, layer: Layer, _memo: dict | None = None
     the new span.  Output is in lexicographic order.
     """
     ground = sorted(layer.flat)
-    if _memo is not None:
-        got = _memo.get((layer.flat, layer.rank))
-        if got is not None:
-            return got
     cols = [arr.columns[e] for e in ground]
     target = layer.rank
     out: list[tuple[int, ...]] = []
@@ -577,8 +568,6 @@ def nbc_sets(arr: Arrangement, layer: Layer, _memo: dict | None = None
 
     extend((), [], len(ground))
     out.sort()
-    if _memo is not None:
-        _memo[(layer.flat, layer.rank)] = out
     return out
 
 

@@ -160,7 +160,7 @@ def cmd_betti(arr, graph, args, model) -> dict:
 
 
 def cmd_euler(arr, graph, args, model) -> dict:
-    chi_core = cohomology.euler_characteristic(model().core)
+    chi_core = cohomology.page2_table(model().core).euler()
     chi = 0 if model().nbars else chi_core
     return {"input": print_arrangement(arr), "euler": chi,
             "euler_essential_core": chi_core}
@@ -268,16 +268,12 @@ def cmd_verify_all(arr, graph, args, model) -> dict:
     report = dga.verify_model_dimension()
     check("dimension-audit", report["matches_4_pow_corank"], report)
 
-    dd_ok = True
-    for (p, q) in dga.bidegrees():
-        for mono in dga.basis(p, q):
-            if dga.d(dga.d({mono: 1})):
-                dd_ok = False
+    monos = [m for (p, q) in dga.bidegrees() for m in dga.basis(p, q)]
+    dd_ok = not any(dga.d(dga.d({mono: 1})) for mono in monos)
     check("d-squared-zero", dd_ok)
 
     circ_ok = True
     for circuit in arr_mod.circuits(dga.arrangement):
-        rank = len(circuit) - 1
         for lid in _circuit_components(dga, circuit):
             total = {}
             for t, i in enumerate(circuit):
@@ -290,7 +286,6 @@ def cmd_verify_all(arr, graph, args, model) -> dict:
 
     import random
     rng = random.Random(2718281828)
-    monos = [m for (p, q) in dga.bidegrees() for m in dga.basis(p, q)]
     leib_ok = True
     comm_ok = True
     pairs = min(len(monos) ** 2, 400)
@@ -301,13 +296,13 @@ def cmd_verify_all(arr, graph, args, model) -> dict:
         e2 = {m2: 1}
         prod = dga.multiply(e1, e2)
         lhs = dga.d(prod)
-        sign = -1 if (len(m1[2]) + len(m1[1])) % 2 else 1
+        deg1 = sum(dga.bidegree_of(m1))
+        sign = -1 if deg1 % 2 else 1
         rhs = add(dga.multiply(dga.d(e1), e2),
                   scale(dga.multiply(e1, dga.d(e2)), sign))
         if sub(lhs, rhs):
             leib_ok = False
-        swap = -1 if ((len(m1[2]) + len(m1[1]))
-                      * (len(m2[2]) + len(m2[1]))) % 2 else 1
+        swap = -1 if (deg1 * sum(dga.bidegree_of(m2))) % 2 else 1
         if sub(prod, scale(dga.multiply(e2, e1), swap)):
             comm_ok = False
     check("leibniz-sampled", leib_ok)

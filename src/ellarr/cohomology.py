@@ -145,14 +145,13 @@ def tensor_with_curve(table: BettiTable, nfactors: int) -> BettiTable:
     return BettiTable(page=table.page, entries=entries, weights=weights)
 
 
-def betti_tables(source, max_degree: int | None = None
+def betti_tables(model: TensorModel, max_degree: int | None = None
                  ) -> tuple[BettiTable, BettiTable]:
-    """(page 2, page 3) tables of an arrangement or of its ``full_model``.
+    """(page 2, page 3) tables of an arrangement's ``full_model``.
 
     ``max_degree`` limits both tables to total degrees p + q <= max_degree;
     the curve factors only raise p, so those entries stay exact.
     """
-    model = source if isinstance(source, TensorModel) else full_model(source)
     t2 = tensor_with_curve(page2_table(model.core, max_degree), model.nbars)
     t3 = tensor_with_curve(page3_table(model.core, max_degree), model.nbars)
     if max_degree is not None:
@@ -162,22 +161,6 @@ def betti_tables(source, max_degree: int | None = None
             t.weights = {k: w for k, w in t.weights.items()
                          if sum(k) <= max_degree}
     return t2, t3
-
-
-def euler_characteristic(source) -> int:
-    """Alternating sum over page 2; equals the page-3 sum by exactness.
-
-    Accepts a table, a model, or an arrangement.  No rank computation is
-    needed, and any split-off curve factor forces zero.
-    """
-    if isinstance(source, BettiTable):
-        return source.euler()
-    if isinstance(source, BigradedDGA):
-        return page2_table(source).euler()
-    core_arr, _, nbars = essentialize(source)
-    if nbars:
-        return 0
-    return page2_table(BigradedDGA(core_arr)).euler()
 
 
 def verify_vanishing(arr: Arrangement, page3_full: BettiTable,

@@ -6,19 +6,20 @@ the coframe chosen for L.  The differential has bidegree (2,-1); products
 are straightened back to this basis through the circuit relations and the
 per-layer reduction maps.
 
-A monomial is a tuple (layer_id, iset, syms) with syms a sorted tuple of
-(column, kind) pairs, kind 0 for the x-side and 1 for the y-side of the
-curve.  Elements are sparse dicts monomial -> int or Fraction.
+A monomial is a tuple (layer_id, iset, mask): iset is a sorted tuple of
+divisor indices and mask an int with bit 2*col + kind per one-form symbol,
+kind 0 for the x-side and 1 for the y-side of the curve, so ascending bits
+are the sorted symbol order.  Elements are sparse dicts monomial -> int or
+Fraction.
 
-Inside the model a product of symbols is an int mask with bit 2*col + kind
-per symbol, so ascending bits are the sorted tuple order.  Wedging a symbol
-onto the right of a mask passes it over the mask's higher bits, so the sign
-is the parity of their popcount.  A mask reduces into a layer's coframe
-symbol by symbol; when it already lies in the layer's frame bits (two per
-coframe column) the form is the mask itself, since a coframe column's
-coordinates are a unit vector.  A layer's coframe lies in the coframe of
-every layer containing it, so a basis monomial's mask never needs reducing
-on the way down, and d needs no reduction but that of x_j ^ y_j.
+Wedging a symbol onto the right of a mask passes it over the mask's higher
+bits, so the sign is the parity of their popcount.  A mask reduces into a
+layer's coframe symbol by symbol; when it already lies in the layer's frame
+bits (two per coframe column) the form is the mask itself, since a coframe
+column's coordinates are a unit vector.  A layer's coframe lies in the
+coframe of every layer containing it, so a basis monomial's mask never
+needs reducing on the way down, and d needs no reduction but that of
+x_j ^ y_j.
 
 There is one differential kernel.  Per (layer, NBC set) it lists the terms
 of d that do not depend on the symbols: the sublayer of each index set
@@ -26,8 +27,8 @@ with one divisor removed, that set, the signed 1/#components coefficient
 and x_j ^ y_j as (mask, coeff) terms in the sublayer's coframe.  ``ranks``
 applies it to the masks it enumerates and indexes target rows as the
 (sublayer, set) offset plus the mask's rank among the sublayer's
-combinations; ``d`` applies it to one monomial and turns the masks back
-into symbol tuples.  Products reduce their masks into the target layer.
+combinations; ``d`` applies it to one monomial.  Products reduce their
+masks into the target layer.
 
 Page 3 is ranked per torus weight a = #x - #y.  The swap sigma of x and y
 maps each basis monomial to a basis monomial, up to the sign of re-sorting
@@ -52,13 +53,12 @@ from . import arrangement as arr_mod
 from . import exactlin
 from .arrangement import Arrangement, LayerPoset
 
-Symbol = tuple[int, int]
-Monomial = tuple[int, tuple[int, ...], tuple[Symbol, ...]]
+Monomial = tuple[int, tuple[int, ...], int]
 Element = dict[Monomial, int | Fraction]
 
 
 def merge_sign(left: Sequence, right: Sequence):
-    """Merge two sorted tuples of distinct odd-degree factors.
+    """Merge two sorted index sets of distinct odd-degree factors.
 
     Returns (sign, merged tuple) or (0, None) if they share an entry.
     """
@@ -83,25 +83,6 @@ def merge_sign(left: Sequence, right: Sequence):
     return sign, tuple(out)
 
 
-def symbol_mask(syms: Sequence[Symbol]) -> int:
-    """The mask of a product of symbols: bit 2*col + kind per symbol."""
-    mask = 0
-    for col, kind in syms:
-        mask |= 1 << (2 * col + kind)
-    return mask
-
-
-def mask_symbols(mask: int) -> tuple[Symbol, ...]:
-    """The sorted symbol tuple of a mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        bit = low.bit_length() - 1
-        out.append((bit >> 1, bit & 1))
-        mask ^= low
-    return tuple(out)
-
-
 def mask_sign(left: int, right: int) -> int:
     """Sign of sorting the symbols of ``left`` followed by those of
     ``right``, or 0 when they share one: each symbol of ``right`` passes
@@ -114,6 +95,13 @@ def mask_sign(left: int, right: int) -> int:
         passes += (left & -(low << 1)).bit_count()
         right ^= low
     return -1 if passes & 1 else 1
+
+
+def mask_weight(mask: int) -> int:
+    """#x - #y symbols of a mask: x symbols sit on the even bits, whose
+    mask up to bit 2*b is (4**b - 1) // 3."""
+    xs = mask & (4 ** mask.bit_length() - 1) // 3
+    return 2 * xs.bit_count() - mask.bit_count()
 
 
 def _lex_ranks(frame: int, size: int) -> dict[int, int]:
@@ -139,15 +127,13 @@ class BigradedDGA:
         self.arrangement = arrangement
         self.n = arrangement.n
         self.poset = poset if poset is not None else arr_mod.build_poset(arrangement)
-        self._nbc_memo: dict = {}
-        self._nbc: dict[int, list[tuple[int, ...]]] = {}
+        self._nbc: dict[tuple[frozenset, int], list[tuple[int, ...]]] = {}
         self._coframe: dict[int, tuple[int, ...]] = {}
         self._flat_basis: dict[int, list[int]] = {}
         self._reduction: dict[int, tuple[int, list[list[int]]]] = {}
         self._red_col: dict[tuple[int, int], tuple[int | Fraction, ...]] = {}
         self._frames: dict[int, int] = {}
         self._xy: dict[tuple[int, int], tuple] = {}
-        self._symbols: dict[int, tuple[Symbol, ...]] = {}
         self._basis: dict[tuple[int, int], list[Monomial]] = {}
         self._index: dict[tuple[int, int], dict[Monomial, int]] = {}
         self._straight: dict[tuple[frozenset, tuple[int, ...]], dict] = {}
@@ -158,11 +144,12 @@ class BigradedDGA:
     # ----- per-layer data ---------------------------------------------
 
     def nbc(self, layer_id: int) -> list[tuple[int, ...]]:
-        got = self._nbc.get(layer_id)
+        """The layer's NBC sets, shared by layers with one flat and rank."""
+        layer = self.poset.layers[layer_id]
+        key = (layer.flat, layer.rank)
+        got = self._nbc.get(key)
         if got is None:
-            got = arr_mod.nbc_sets(self.arrangement, self.poset.layers[layer_id],
-                                   self._nbc_memo)
-            self._nbc[layer_id] = got
+            got = self._nbc[key] = arr_mod.nbc_sets(self.arrangement, layer)
         return got
 
     def coframe(self, layer_id: int) -> tuple[int, ...]:
@@ -306,14 +293,9 @@ class BigradedDGA:
             return []
         out: list[Monomial] = []
         for lid in self.poset.by_rank.get(q, ()):
-            frame: list[Symbol] = []
-            for j in self.coframe(lid):
-                frame.append((j, 0))
-                frame.append((j, 1))
-            frame.sort()
-            for iset in self.nbc(lid):
-                for combo in itertools.combinations(frame, p):
-                    out.append((lid, iset, combo))
+            masks = list(_lex_ranks(self.frame_mask(lid), p))
+            out.extend((lid, iset, mask)
+                       for iset in self.nbc(lid) for mask in masks)
         self._basis[key] = out
         self._index[key] = {m: i for i, m in enumerate(out)}
         return out
@@ -335,14 +317,11 @@ class BigradedDGA:
 
     @staticmethod
     def bidegree_of(mono: Monomial) -> tuple[int, int]:
-        return (len(mono[2]), len(mono[1]))
+        return (mono[2].bit_count(), len(mono[1]))
 
     @staticmethod
     def weight_of(mono: Monomial) -> int:
-        w = 0
-        for _, kind in mono[2]:
-            w += 1 if kind == 0 else -1
-        return w
+        return mask_weight(mono[2])
 
     # ----- straightening ------------------------------------------------
 
@@ -421,23 +400,15 @@ class BigradedDGA:
 
     def _image(self, mono: Monomial) -> Element:
         """Image under the rank-lowering differential, in the chosen basis."""
-        lid, iset, syms = mono
-        mask = symbol_mask(syms)
+        lid, iset, mask = mono
         if mask & ~self.frame_mask(lid):
             raise ModelError("symbols outside the coframe of layer %d" % lid)
         terms = self._kernel_terms(lid, iset)
         out: Element = {}
         for (sub, rest, _, _), part in zip(terms, self._apply_kernel(terms, mask)):
             for t, c in part.items():
-                out[(sub, rest, self._symbols_of(t))] = c
+                out[(sub, rest, t)] = c
         return out
-
-    def _symbols_of(self, mask: int) -> tuple[Symbol, ...]:
-        """``mask_symbols``, one shared tuple per mask for cached images."""
-        got = self._symbols.get(mask)
-        if got is None:
-            got = self._symbols[mask] = mask_symbols(mask)
-        return got
 
     def _kernel_terms(self, lid: int, iset: tuple[int, ...]) -> list:
         """The terms of d on w_{L, iset}: (sub, rest, coeff, xy) per divisor.
@@ -541,10 +512,9 @@ class BigradedDGA:
             lex: dict[int, dict[int, int]] = {}   # frame -> lex ranks
             by_weight: dict[int, list] = {}
             for lid in self.poset.by_rank[q]:
-                ys = sum(2 << (2 * col) for col in self.coframe(lid))
                 masks = []
                 for mask in _lex_ranks(self.frame_mask(lid), p):
-                    a = p - 2 * (mask & ys).bit_count()
+                    a = mask_weight(mask)
                     if a >= 0:
                         masks.append((mask, a))
                 for iset in self.nbc(lid):
@@ -584,19 +554,16 @@ class BigradedDGA:
     # ----- products ------------------------------------------------------
 
     def multiply_monomials(self, m1: Monomial, m2: Monomial) -> Element:
-        l1, i1, s1 = m1
-        l2, i2, s2 = m2
-        if set(i1) & set(i2):
+        l1, i1, mask1 = m1
+        l2, i2, mask2 = m2
+        if mask1 & mask2 or set(i1) & set(i2):
             return {}
         union = tuple(sorted(i1 + i2))
         targets = self.poset.layers_associated(union)
         if not targets:
             return {}
-        mask1, mask2 = symbol_mask(s1), symbol_mask(s2)
-        if mask1 & mask2:
-            return {}
         sigma, _ = merge_sign(i1, i2)
-        koszul = -1 if (len(s2) * len(i1)) % 2 else 1
+        koszul = -1 if (mask2.bit_count() * len(i1)) % 2 else 1
         base = sigma * koszul * mask_sign(mask1, mask2)
         out: Element = {}
         for lid in targets:
@@ -607,7 +574,7 @@ class BigradedDGA:
                 continue
             for iset, sc in self.straighten(lid, union).items():
                 for t, c in form.items():
-                    key = (lid, iset, self._symbols_of(t))
+                    key = (lid, iset, t)
                     nc = out.get(key, 0) + base * sc * c
                     if nc:
                         out[key] = nc
@@ -635,7 +602,7 @@ class BigradedDGA:
         return self.poset.by_rank[0][0]
 
     def unit(self) -> Element:
-        return {(self.ambient_layer, (), ()): 1}
+        return {(self.ambient_layer, (), 0): 1}
 
     def one_form(self, xvec: Sequence, yvec: Sequence) -> Element:
         """Degree-(1,0) element with ambient x/y coefficient vectors."""
@@ -653,7 +620,7 @@ class BigradedDGA:
             cofr = self.coframe(amb)
             for u in range(len(cofr)):
                 if lam[u]:
-                    key = (amb, (), ((cofr[u], kind),))
+                    key = (amb, (), 1 << (2 * cofr[u] + kind))
                     out[key] = out.get(key, 0) + lam[u]
         return {k: v for k, v in out.items() if v}
 
@@ -672,14 +639,14 @@ class BigradedDGA:
             raise ModelError("index set size must match the layer rank")
         if not set(iset) <= layer.flat:
             raise ModelError("index set must consist of divisors containing the layer")
-        return {(layer_id, k, ()): c for k, c in self.straighten(layer_id, iset).items()}
+        return {(layer_id, k, 0): c for k, c in self.straighten(layer_id, iset).items()}
 
     def omega_generators(self, col: int) -> Element:
         """Sum over components of omega for a single divisor; for a connected
         divisor this is the single generator of the rank-1 layer."""
         out: Element = {}
         for lid in self.poset.layers_associated((col,)):
-            out[(lid, (col,), ())] = 1
+            out[(lid, (col,), 0)] = 1
         return out
 
     # ----- audits ---------------------------------------------------------
@@ -713,7 +680,7 @@ def hodge_weight(p: int, q: int) -> int:
 
 
 def element_bidegree(elem: Element) -> tuple[int, int] | None:
-    degs = {(len(m[2]), len(m[1])) for m in elem}
+    degs = {(m[2].bit_count(), len(m[1])) for m in elem}
     if len(degs) == 1:
         return degs.pop()
     return None
@@ -745,8 +712,8 @@ def sub(e1: Element, e2: Element) -> Element:
 class TensorModel:
     """Model of a non-essential arrangement: essential core x torus factors.
 
-    Monomials are pairs (core monomial, bars) where bars is a sorted tuple
-    of (factor index, kind) one-form symbols of the split-off curve factors.
+    Monomials are pairs (core monomial, bars) where bars is the mask of the
+    one-form symbols of the split-off curve factors, bit 2*factor + kind.
     The differential ignores the bars; products follow the graded tensor
     rule.  ``transform`` is the unimodular row map sending ambient
     coordinates to (core coordinates, bar coordinates).
@@ -775,19 +742,8 @@ class TensorModel:
         got = self._basis.get(key)
         if got is not None:
             return got
-        bar_syms = []
-        for k in range(self.nbars):
-            bar_syms.append((k, 0))
-            bar_syms.append((k, 1))
-        out = []
-        for extra in range(min(p, 2 * self.nbars) + 1):
-            pc = p - extra
-            if pc > 2 * self.core.n:
-                continue
-            for bars in itertools.combinations(bar_syms, extra):
-                for mono in self.core.basis(pc, q):
-                    out.append((mono, bars))
-        out.sort(key=lambda m: (m[1], self.core.index(*self.core.bidegree_of(m[0]))[m[0]]))
+        out = [(mono, bars) for bars in range(1 << 2 * self.nbars)
+               for mono in self.core.basis(p - bars.bit_count(), q)]
         self._basis[key] = out
         self._index[key] = {m: i for i, m in enumerate(out)}
         return out
@@ -802,18 +758,15 @@ class TensorModel:
     @staticmethod
     def bidegree_of(mono) -> tuple[int, int]:
         core_m, bars = mono
-        return (len(core_m[2]) + len(bars), len(core_m[1]))
+        return (core_m[2].bit_count() + bars.bit_count(), len(core_m[1]))
 
     @staticmethod
     def weight_of(mono) -> int:
         core_m, bars = mono
-        w = BigradedDGA.weight_of(core_m)
-        for _, kind in bars:
-            w += 1 if kind == 0 else -1
-        return w
+        return mask_weight(core_m[2]) + mask_weight(bars)
 
     def unit(self):
-        return {(next(iter(self.core.unit())), ()): 1}
+        return {(next(iter(self.core.unit())), 0): 1}
 
     def d(self, elem) -> dict:
         degs = {self.bidegree_of(m) for m in elem}
@@ -833,17 +786,17 @@ class TensorModel:
     def multiply(self, e1, e2) -> dict:
         out: dict = {}
         for (m1, b1), c1 in e1.items():
-            deg1_bar = len(b1)
+            deg1_bar = b1.bit_count()
             for (m2, b2), c2 in e2.items():
-                sign_bars, bars = merge_sign(b1, b2)
+                sign_bars = mask_sign(b1, b2)
                 if sign_bars == 0:
                     continue
                 # bars of e1 move across the core part of e2
-                deg_m2 = len(m2[2]) + len(m2[1])
+                deg_m2 = m2[2].bit_count() + len(m2[1])
                 sign = sign_bars * (-1 if (deg1_bar * deg_m2) % 2 else 1)
                 cc = c1 * c2 * sign
                 for m, c in self.core.multiply_monomials(m1, m2).items():
-                    key = (m, bars)
+                    key = (m, b1 | b2)
                     nc = out.get(key, 0) + cc * c
                     if nc:
                         out[key] = nc
@@ -866,15 +819,15 @@ class TensorModel:
             core_part = self.core.one_form(w[:self.core.n] if kind == 0 else None,
                                            None if kind == 0 else w[:self.core.n])
             for m, c in core_part.items():
-                key = (m, ())
+                key = (m, 0)
                 out[key] = out.get(key, 0) + c
             unit_core = next(iter(self.core.unit()))
             for k in range(self.nbars):
                 c = w[self.core.n + k]
                 if c:
-                    key = (unit_core, ((k, kind),))
+                    key = (unit_core, 1 << (2 * k + kind))
                     out[key] = out.get(key, 0) + c
         return {k: v for k, v in out.items() if v}
 
     def include_core(self, elem: Element) -> dict:
-        return {(m, ()): c for m, c in elem.items()}
+        return {(m, 0): c for m, c in elem.items()}

@@ -37,7 +37,7 @@ class TestEssentialize:
         arr = Arrangement(2, ((1, 0),), ((Fraction(1, 3), Fraction(2, 3)),))
         core, _, nbars = cohomology.essentialize(arr)
         assert nbars == 1 and core.offsets == arr.offsets
-        _, t3 = cohomology.betti_tables(arr)
+        _, t3 = cohomology.betti_tables(cohomology.full_model(arr))
         assert t3.total_betti() == [1, 4, 5, 2]
 
 
@@ -55,27 +55,32 @@ class TestPageTables:
         assert t3.total_betti() == [1, 4, 5]
 
     def test_braid3_full(self):
-        _, t3 = cohomology.betti_tables(braid.braid_arrangement(3))
+        _, t3 = cohomology.betti_tables(
+            cohomology.full_model(braid.braid_arrangement(3)))
         assert t3.total_betti() == [1, 6, 14, 14, 5]
 
     def test_single_divisor_in_e1(self):
-        t2, t3 = cohomology.betti_tables(Arrangement(1, ((1,),)))
+        t2, t3 = cohomology.betti_tables(
+            cohomology.full_model(Arrangement(1, ((1,),))))
         assert t3.total_betti() == [1, 2]
         assert t2.euler() == t3.euler() == -1
 
     def test_empty_arrangement_e1(self):
-        t2, t3 = cohomology.betti_tables(Arrangement(1, ()))
+        t2, t3 = cohomology.betti_tables(
+            cohomology.full_model(Arrangement(1, ())))
         assert t3.total_betti() == [1, 2, 1]
         assert t2.euler() == 0
 
     def test_repeated_divisor_collapses(self):
         # listing the same divisor twice changes nothing
-        t2, t3 = cohomology.betti_tables(Arrangement(1, ((1,), (1,))))
+        t2, t3 = cohomology.betti_tables(
+            cohomology.full_model(Arrangement(1, ((1,), (1,)))))
         assert t3.total_betti() == [1, 2]
         assert t2.euler() == -1
 
     def test_sign_flipped_equation_is_same_divisor(self):
-        t2, t3 = cohomology.betti_tables(Arrangement(1, ((1,), (-1,))))
+        t2, t3 = cohomology.betti_tables(
+            cohomology.full_model(Arrangement(1, ((1,), (-1,)))))
         assert t3.total_betti() == [1, 2]
 
 
@@ -84,11 +89,13 @@ class TestEuler:
         assert cohomology.page2_table(braid_models[3]).euler() == 2
 
     def test_with_curve_factor_vanishes(self):
-        t2, _ = cohomology.betti_tables(braid.braid_arrangement(3))
+        t2, _ = cohomology.betti_tables(
+            cohomology.full_model(braid.braid_arrangement(3)))
         assert t2.euler() == 0
 
     def test_empty(self):
-        assert cohomology.euler_characteristic(Arrangement(1, ())) == 0
+        assert cohomology.betti_tables(
+            cohomology.full_model(Arrangement(1, ())))[0].euler() == 0
 
     def test_page2_equals_page3(self, braid_models, braid_page3):
         for n in (3, 4, 5):
@@ -140,8 +147,10 @@ class TestFirstColumn:
 class TestPosetInvariance:
     def test_example_pair_tables_identical(self, example_arrangement,
                                            example_prime_arrangement):
-        tables_a = cohomology.betti_tables(example_arrangement)
-        tables_b = cohomology.betti_tables(example_prime_arrangement)
+        tables_a = cohomology.betti_tables(
+            cohomology.full_model(example_arrangement))
+        tables_b = cohomology.betti_tables(
+            cohomology.full_model(example_prime_arrangement))
         assert tables_a[0].entries == tables_b[0].entries
         assert tables_a[1].entries == tables_b[1].entries
         assert tables_a[1].weights == tables_b[1].weights
@@ -194,7 +203,9 @@ class TestPresentationInvariance:
         @hyp.settings(max_examples=25, deadline=None, derandomize=True)
         @hyp.given(presented_pairs())
         def check(pair):
-            (t2a, t3a), (t2b, t3b) = map(cohomology.betti_tables, pair)
+            (t2a, t3a), (t2b, t3b) = (
+                cohomology.betti_tables(cohomology.full_model(arr))
+                for arr in pair)
             assert t2a.entries == t2b.entries
             assert t3a.entries == t3b.entries
             assert t3a.weights == t3b.weights
@@ -209,7 +220,7 @@ class TestTranslatedDivisors:
         arr = Arrangement(1, ((1,), (1,)),
                           ((Fraction(0), Fraction(0)),
                            (Fraction(1, 2), Fraction(0))))
-        t2, t3 = cohomology.betti_tables(arr)
+        t2, t3 = cohomology.betti_tables(cohomology.full_model(arr))
         assert t3.total_betti() == [1, 3]
         assert t2.euler() == -2
 
@@ -218,7 +229,7 @@ class TestTranslatedDivisors:
                           ((Fraction(0), Fraction(0)),
                            (Fraction(1, 2), Fraction(0)),
                            (Fraction(1, 3), Fraction(1, 3))))
-        t2, t3 = cohomology.betti_tables(arr)
+        t2, t3 = cohomology.betti_tables(cohomology.full_model(arr))
         assert t3.total_betti() == [1, 4]
         assert t2.euler() == -3
 
@@ -227,7 +238,7 @@ class TestTranslatedDivisors:
         arr = Arrangement(2, ((1, 0), (1, 0)),
                           ((Fraction(0), Fraction(0)),
                            (Fraction(1, 2), Fraction(0))))
-        _, t3 = cohomology.betti_tables(arr)
+        _, t3 = cohomology.betti_tables(cohomology.full_model(arr))
         assert t3.total_betti() == [1, 5, 7, 3]
 
 
@@ -262,7 +273,8 @@ class TestKuenneth:
 
     def test_direct_vs_kuenneth_betti(self):
         # two points on a curve: (punctured curve) x curve
-        _, t3 = cohomology.betti_tables(braid.braid_arrangement(2))
+        _, t3 = cohomology.betti_tables(
+            cohomology.full_model(braid.braid_arrangement(2)))
         assert t3.total_betti() == [1, 4, 5, 2]
 
 
@@ -294,7 +306,8 @@ class TestMaxDegree:
         full_t = cohomology.tensor_with_curve(full, model.nbars)
         low_t = cohomology.tensor_with_curve(low, model.nbars)
         assert _low_degree(low_t, 2) == _low_degree(full_t, 2)
-        t2, t3 = cohomology.betti_tables(arr, max_degree=2)
+        t2, t3 = cohomology.betti_tables(
+            cohomology.full_model(arr), max_degree=2)
         assert (t3.entries, t3.weights) == _low_degree(full_t, 2)
-        full_t2, _ = cohomology.betti_tables(arr)
+        full_t2, _ = cohomology.betti_tables(cohomology.full_model(arr))
         assert (t2.entries, t2.weights) == _low_degree(full_t2, 2)

@@ -4,7 +4,9 @@
 counted.  The oracles below are the rules they replaced: exterior forms as
 dicts {sorted symbol tuple: coeff} multiplied through ``merge_sign``, each
 image assembled term by term, block columns indexed through ``basis`` and
-``index``, and page 2 read off the enumerated basis.
+``index``, and page 2 read off the enumerated basis.  ``symbol_mask`` and
+``mask_symbols`` translate between the oracles' (col, kind) tuples and the
+model's masks.
 """
 
 from fractions import Fraction
@@ -14,8 +16,7 @@ import pytest
 
 from ellarr import braid, cohomology, exactlin
 from ellarr.arrangement import Arrangement
-from ellarr.model import (ModelError, _lex_ranks, mask_sign, mask_symbols,
-                          merge_sign, symbol_mask)
+from ellarr.model import ModelError, _lex_ranks, mask_sign, merge_sign
 
 TORSION = Arrangement(2, ((1, 0), (1, 2), (0, 1)),
                       ((Fraction(1, 2), 0), (0, 0), (0, Fraction(1, 3))))
@@ -25,6 +26,15 @@ NONESSENTIAL = Arrangement(3, ((1, 1, 0), (0, 1, 1)))
 INPUTS = ([braid.braid_arrangement(n) for n in (3, 4, 5, 6)]
           + [WORKED_K5, TORSION])
 IDS = ["braid%d" % n for n in (3, 4, 5, 6)] + ["worked-k5", "torsion"]
+
+
+def symbol_mask(syms):
+    return sum(1 << (2 * col + kind) for col, kind in syms)
+
+
+def mask_symbols(mask):
+    return tuple((b >> 1, b & 1) for b in range(mask.bit_length())
+                 if mask >> b & 1)
 
 
 def wedge_forms(f1, f2):
@@ -52,7 +62,8 @@ def reduce_symbols(dga, lid, syms):
 
 def image_oracle(dga, mono):
     # d(z * w_{L,I}) = sum_j +-1/#components z * x_j ^ y_j * w_{sub, I - j}
-    lid, iset, syms = mono
+    lid, iset, mask = mono
+    syms = mask_symbols(mask)
     lead = -1 if len(syms) % 2 else 1
     out = {}
     for pos, j in enumerate(iset):
@@ -64,7 +75,7 @@ def image_oracle(dga, mono):
                     if dga.poset.leq(sub, wid))
         coeff = Fraction(lead * (-1) ** pos, ncomp)
         for t, c in form.items():
-            key = (sub, rest, t)
+            key = (sub, rest, symbol_mask(t))
             out[key] = out.get(key, 0) + coeff * c
     return {k: c for k, c in out.items() if c}
 
@@ -211,7 +222,7 @@ class TestKernelOracle:
         dga = braid.braid_model(3)
         top = dga.poset.by_rank[2][0]
         with pytest.raises(ModelError):
-            dga.d_monomial((top, dga.nbc(top)[0], ((0, 0),)))
+            dga.d_monomial((top, dga.nbc(top)[0], symbol_mask(((0, 0),))))
 
     def test_rows_follow_basis_order(self):
         # a pair's block of C(2k, p) rows, then the lexicographic rank of
@@ -226,4 +237,4 @@ class TestKernelOracle:
                 lex = _lex_ranks(dga.frame_mask(lid), p)
                 assert len(lex) == width
                 for mask, r in lex.items():
-                    assert index[(lid, iset, mask_symbols(mask))] == k * width + r
+                    assert index[(lid, iset, mask)] == k * width + r

@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from ellarr import arrangement as arr_mod
 from ellarr import braid, cohomology, exactlin
 from ellarr.arrangement import Arrangement
-from ellarr.model import (BigradedDGA, ModelError, TensorModel, add, scale,
-                          sub, merge_sign)
+from ellarr.model import (BigradedDGA, ModelError, TensorModel, _lex_ranks,
+                          add, scale, sub, merge_sign)
 
 ONE = Fraction(1)
 
@@ -263,7 +264,7 @@ class TestProducts:
 
 
 def total_degree(mono):
-    return len(mono[2]) + len(mono[1])
+    return sum(BigradedDGA.bidegree_of(mono))
 
 
 class TestAxioms:
@@ -371,12 +372,13 @@ def rank_bidegrees(dga):
 def swap_xy(elem):
     """The x<->y swap, re-sorting each monomial's symbols with its sign."""
     out = {}
-    for (lid, iset, syms), c in elem.items():
-        swapped = [(col, 1 - kind) for col, kind in syms]
+    for (lid, iset, mask), c in elem.items():
+        bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+        swapped = [b ^ 1 for b in bits]
         inversions = sum(1 for i in range(len(swapped))
                          for j in range(i + 1, len(swapped))
                          if swapped[i] > swapped[j])
-        key = (lid, iset, tuple(sorted(swapped)))
+        key = (lid, iset, sum(1 << b for b in swapped))
         out[key] = -c if inversions % 2 else c
     return out
 
@@ -422,3 +424,69 @@ class TestStreamingRanks:
         assert len(dga._d_cache) == dga.total_dimension()
         dga._ranks.clear()
         assert {pq: dga.ranks(*pq) for pq in before} == before
+
+
+ENCODING_INPUTS = {
+    "braid4": braid.braid_arrangement(4),
+    "worked-k5": Arrangement(2, ((1, 0), (1, 5), (2, 5))),
+    "torsion": Arrangement(2, ((1, 0), (1, 2), (0, 1)),
+                           ((Fraction(1, 2), 0), (0, 0), (0, Fraction(1, 3)))),
+    "nonessential": Arrangement(3, ((1, 1, 0), (0, 1, 1))),
+}
+
+
+def set_bits(mask):
+    return tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def bit_weight(mask):
+    """#even bits - #odd bits: x symbols count +1, y symbols -1."""
+    return sum(1 if b % 2 == 0 else -1 for b in set_bits(mask))
+
+
+class TestMonomialEncoding:
+    """Monomials carry int symbol masks with bit 2*col + kind."""
+
+    @pytest.mark.parametrize("name", sorted(ENCODING_INPUTS))
+    def test_core_basis(self, name):
+        dga = cohomology.full_model(ENCODING_INPUTS[name]).core
+        for p, q in dga.bidegrees():
+            basis = dga.basis(p, q)
+            pairs = [(lid, iset) for lid in dga.poset.by_rank[q]
+                     for iset in dga.nbc(lid)]
+            width = comb(2 * (dga.n - q), p)
+            assert len(basis) == len(pairs) * width
+            for k, (lid, iset) in enumerate(pairs):
+                frame = dga.frame_mask(lid)
+                block = basis[k * width:(k + 1) * width]
+                assert all(m[:2] == (lid, iset) for m in block)
+                masks = [m[2] for m in block]
+                for mask in masks:
+                    assert type(mask) is int and mask.bit_count() == p
+                    assert not mask & ~frame
+                # the combinations of the frame bits, lexicographically
+                assert len(set(masks)) == width
+                assert masks == sorted(masks, key=set_bits)
+                assert ({m: i for i, m in enumerate(masks)}
+                        == _lex_ranks(frame, p))
+            for mono in basis:
+                assert dga.bidegree_of(mono) == (p, q)
+                assert dga.weight_of(mono) == bit_weight(mono[2])
+
+    @pytest.mark.parametrize("name", sorted(ENCODING_INPUTS))
+    def test_tensor_basis(self, name):
+        model = cohomology.full_model(ENCODING_INPUTS[name])
+        core, nbars = model.core, model.nbars
+        for p, q in model.bidegrees():
+            basis = model.basis(p, q)
+            assert len(set(basis)) == len(basis)
+            assert len(basis) == sum(comb(2 * nbars, e) * core.dim(p - e, q)
+                                     for e in range(2 * nbars + 1))
+            assert model.index(p, q) == {m: i for i, m in enumerate(basis)}
+            for mono in basis:
+                core_m, bars = mono
+                assert type(bars) is int and 0 <= bars < 4 ** nbars
+                assert core_m in core.index(*core.bidegree_of(core_m))
+                assert model.bidegree_of(mono) == (p, q)
+                assert model.weight_of(mono) == (bit_weight(core_m[2])
+                                                 + bit_weight(bars))
