@@ -209,17 +209,34 @@ def independent_sets(arr: Arrangement) -> list[tuple[int, ...]]:
 def circuits(arr: Arrangement) -> list[tuple[int, ...]]:
     """Minimal dependent sets, in lexicographic order.
 
-    Every circuit arises as the fundamental circuit of some element over an
-    independent set, so scanning extensions of the independent sets finds
-    them all.
+    A circuit C minus its largest member is independent, and C is the
+    unique circuit inside it plus that member.  So the depth-first growth
+    of `independent_sets` finds each circuit once: a later column e closes
+    the circuit prefix + (e,) exactly when e lies in the span of the prefix
+    and its expansion uses every prefix column.  Each column is extended
+    by its own unit vector, so the remainder of e against the branch's
+    integer echelon of extended columns holds that expansion, up to scale,
+    on the unit coordinates once it is zero on the columns' coordinates
+    (as in `fundamental_circuit`).  A circuit is never extended, so the
+    growth order is lexicographic.
     """
-    found: set[tuple[int, ...]] = set()
-    for ind in independent_sets(arr):
-        for e in range(arr.size):
-            circ = None if e in ind else fundamental_circuit(arr, e, ind)
-            if circ is not None:
-                found.add(circ)
-    return sorted(found)
+    n, size = arr.n, arr.size
+    ext = [col + tuple(int(i == j) for i in range(size))
+           for j, col in enumerate(arr.columns)]
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], rows):
+        start = prefix[-1] + 1 if prefix else 0
+        for e in range(start, size):
+            lead, row = exactlin.echelon_reduce(rows, ext[e])
+            if lead >= n:
+                if all(row[n + j] for j in prefix):
+                    out.append(prefix + (e,))
+            else:
+                extend(prefix + (e,), rows + [(lead, row)])
+
+    extend((), [])
+    return out
 
 
 def fundamental_circuit(arr: Arrangement, e: int, independent: Sequence[int]

@@ -268,9 +268,7 @@ def cmd_verify_all(arr, graph, args, model) -> dict:
     report = dga.verify_model_dimension()
     check("dimension-audit", report["matches_4_pow_corank"], report)
 
-    monos = [m for (p, q) in dga.bidegrees() for m in dga.basis(p, q)]
-    dd_ok = not any(dga.d(dga.d({mono: 1})) for mono in monos)
-    check("d-squared-zero", dd_ok)
+    check("d-squared-zero", dga.verify_d_squared())
 
     circ_ok = True
     for circuit in arr_mod.circuits(dga.arrangement):
@@ -284,14 +282,9 @@ def cmd_verify_all(arr, graph, args, model) -> dict:
                 circ_ok = False
     check("circuit-relations", circ_ok)
 
-    import random
-    rng = random.Random(2718281828)
     leib_ok = True
     comm_ok = True
-    pairs = min(len(monos) ** 2, 400)
-    for _ in range(pairs):
-        m1 = rng.choice(monos)
-        m2 = rng.choice(monos)
+    for m1, m2 in _leibniz_sample(dga):
         e1 = {m1: 1}
         e2 = {m2: 1}
         prod = dga.multiply(e1, e2)
@@ -345,6 +338,23 @@ def cmd_verify_all(arr, graph, args, model) -> dict:
 
     ok = all(c["ok"] for c in checks)
     return {"input": print_arrangement(arr), "verify": checks, "ok": ok}
+
+
+def _leibniz_sample(dga: BigradedDGA) -> list[tuple]:
+    """The monomial pairs the Leibniz and commutativity checks sample.
+
+    They are the pairs that ``rng.choice`` draws from the list of every
+    basis monomial in ``bidegrees()`` order, without the list:
+    ``choice(seq)`` is ``seq[_randbelow(len(seq))]``, so choosing from
+    ``range(total)`` draws the same positions, and the monomials there are
+    looked up one block at a time.
+    """
+    import random
+    rng = random.Random(2718281828)
+    total = sum(dga.dim(p, q) for p, q in dga.bidegrees())
+    picks = [rng.choice(range(total)) for _ in range(2 * min(total ** 2, 400))]
+    monos = dga.monomials_at(picks)
+    return list(zip(monos[::2], monos[1::2]))
 
 
 def _circuit_components(dga: BigradedDGA, circuit) -> list[int]:

@@ -35,7 +35,9 @@ maps each basis monomial to a basis monomial, up to the sign of re-sorting
 its symbols, and d(sigma m) = -sigma(d m): d wedges in x_j ^ y_j, and
 y_j ^ x_j = -x_j ^ y_j.  So the weight -a block of d has the rank of the
 weight a block, and only a >= 0 is built.  Ranks stream: each block's
-columns are built, ranked and dropped, and only ``d`` caches images.
+columns are built, ranked and dropped, and only ``d`` caches images.  The
+audits stream too: the d^2 = 0 check memoizes images for one block at a
+time, and the dimension audit enumerates each block without storing it.
 
 Page 2 is counted, not enumerated: every layer of rank q has a coframe of
 k = n - q columns, so (p, q) has sum |nbc(L)| * C(2k, p) monomials, and
@@ -45,7 +47,7 @@ C(k, i) * C(k, p - i) of each L's choices carry weight 2i - p.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from math import comb
 
@@ -287,18 +289,22 @@ class BigradedDGA:
         got = self._basis.get(key)
         if got is not None:
             return got
-        if p < 0 or q < 0:
-            self._basis[key] = []
-            self._index[key] = {}
-            return []
-        out: list[Monomial] = []
-        for lid in self.poset.by_rank.get(q, ()):
-            masks = list(_lex_ranks(self.frame_mask(lid), p))
-            out.extend((lid, iset, mask)
-                       for iset in self.nbc(lid) for mask in masks)
+        out = list(self._monomials(p, q))
         self._basis[key] = out
         self._index[key] = {m: i for i, m in enumerate(out)}
         return out
+
+    def _monomials(self, p: int, q: int) -> Iterator[Monomial]:
+        """The basis of (p, q) in order, enumerated and stored nowhere:
+        per layer of rank q, per NBC set, the size-p frame submasks in
+        lexicographic order."""
+        if p < 0:
+            return
+        for lid in self.poset.by_rank.get(q, ()):
+            masks = list(_lex_ranks(self.frame_mask(lid), p))
+            for iset in self.nbc(lid):
+                for mask in masks:
+                    yield (lid, iset, mask)
 
     def dim(self, p: int, q: int) -> int:
         """Number of basis monomials, counted: see the module docstring."""
@@ -312,8 +318,30 @@ class BigradedDGA:
         return self._index[(p, q)]
 
     def total_dimension(self) -> int:
-        """Number of enumerated basis monomials, over every bidegree."""
-        return sum(len(self.basis(p, q)) for p, q in self.bidegrees())
+        """Number of enumerated basis monomials, over every bidegree.
+
+        The blocks are enumerated one at a time and not stored.
+        """
+        return sum(1 for p, q in self.bidegrees() for _ in self._monomials(p, q))
+
+    def monomials_at(self, positions: Sequence[int]) -> list[Monomial]:
+        """The monomials at ``positions`` of the concatenated bases of all
+        bidegrees, in ``bidegrees()`` order.
+
+        Blocks holding no position are skipped by their counted dimension;
+        the others are enumerated one at a time and not stored.
+        """
+        want = set(positions)
+        found: dict[int, Monomial] = {}
+        start = 0
+        for p, q in self.bidegrees():
+            end = start + self.dim(p, q)
+            if any(start <= i < end for i in want):
+                for i, mono in enumerate(self._monomials(p, q), start):
+                    if i in want:
+                        found[i] = mono
+            start = end
+        return [found[i] for i in positions]
 
     @staticmethod
     def bidegree_of(mono: Monomial) -> tuple[int, int]:
@@ -492,9 +520,11 @@ class BigradedDGA:
 
         Only the blocks of weight a >= 0 are built; block -a has the rank
         of block a, since the x<->y swap maps basis to signed basis and
-        anticommutes with d.  Columns stream from the kernel: each block's
-        columns are built from the masks of every (layer, NBC set), ranked
-        and dropped.  Target rows follow the order of ``basis(p+2, q-1)``:
+        anticommutes with d.  Columns stream from the kernel, one block at
+        a time: a block's columns are built from the masks of its weight
+        of every (layer, NBC set), ranked and dropped before the next
+        block's are built; the kernel terms are rebuilt per block rather
+        than held.  Target rows follow the order of ``basis(p+2, q-1)``:
         each (layer, NBC set) pair owns C(2k, p+2) consecutive rows, one
         per combination of its frame bits in lexicographic order.
         """
@@ -510,46 +540,40 @@ class BigradedDGA:
                 for iset in self.nbc(lid):
                     offset[(lid, iset)] = len(offset) * width
             lex: dict[int, dict[int, int]] = {}   # frame -> lex ranks
-            by_weight: dict[int, list] = {}
+            by_weight: dict[int, dict[int, list[int]]] = {}
             for lid in self.poset.by_rank[q]:
-                masks = []
                 for mask in _lex_ranks(self.frame_mask(lid), p):
                     a = mask_weight(mask)
                     if a >= 0:
-                        masks.append((mask, a))
-                for iset in self.nbc(lid):
-                    terms = self._kernel_terms(lid, iset)
-                    rows = []
-                    for sub, rest, _, _ in terms:
-                        frame = self.frame_mask(sub)
-                        if frame not in lex:
-                            lex[frame] = _lex_ranks(frame, p + 2)
-                        rows.append((offset[(sub, rest)], lex[frame]))
-                    for mask, a in masks:
-                        col: dict = {}
-                        parts = self._apply_kernel(terms, mask)
-                        for (base, rank), part in zip(rows, parts):
-                            for t, c in part.items():
-                                col[base + rank[t]] = c
-                        if col:
-                            by_weight.setdefault(a, []).append(col)
-            for a, cols in by_weight.items():
-                out[a] = out[-a] = exactlin.sparse_rank(cols)
+                        by_weight.setdefault(a, {}).setdefault(lid, []).append(mask)
+            for a, masks in by_weight.items():
+                cols = []
+                for lid, lid_masks in masks.items():
+                    for iset in self.nbc(lid):
+                        terms = self._kernel_terms(lid, iset)
+                        rows = []
+                        for sub, rest, _, _ in terms:
+                            frame = self.frame_mask(sub)
+                            if frame not in lex:
+                                lex[frame] = _lex_ranks(frame, p + 2)
+                            rows.append((offset[(sub, rest)], lex[frame]))
+                        for mask in lid_masks:
+                            col: dict = {}
+                            parts = self._apply_kernel(terms, mask)
+                            for (base, rank), part in zip(rows, parts):
+                                for t, c in part.items():
+                                    col[base + rank[t]] = c
+                            if col:
+                                cols.append(col)
+                if cols:
+                    out[a] = out[-a] = exactlin.sparse_rank(cols)
         self._ranks[key] = out
         return out
 
     def d(self, elem: Element) -> Element:
         if element_bidegree(elem) is None and elem:
             raise ModelError("differential needs a bidegree-homogeneous element")
-        out: Element = {}
-        for mono, coeff in elem.items():
-            for m2, c2 in self.d_monomial(mono).items():
-                nc = out.get(m2, 0) + coeff * c2
-                if nc:
-                    out[m2] = nc
-                elif m2 in out:
-                    del out[m2]
-        return out
+        return _extend(elem, self.d_monomial)
 
     # ----- products ------------------------------------------------------
 
@@ -651,6 +675,29 @@ class BigradedDGA:
 
     # ----- audits ---------------------------------------------------------
 
+    def verify_d_squared(self) -> bool:
+        """Is d(d(m)) = 0 for every basis monomial m?
+
+        Streams one source block at a time: images come from the uncached
+        kernel, those of the block's target monomials are memoized for
+        that block only, and ``d_monomial``'s cache is neither read nor
+        written.
+        """
+        memo: dict[Monomial, Element] = {}
+
+        def image(mono: Monomial) -> Element:
+            got = memo.get(mono)
+            if got is None:
+                got = memo[mono] = self._image(mono)
+            return got
+
+        for p, q in self.bidegrees():
+            memo.clear()
+            for mono in self._monomials(p, q):
+                if _extend(self._image(mono), image):
+                    return False
+        return True
+
     def verify_model_dimension(self) -> dict:
         """Compare the enumerated dimension with the two closed forms.
 
@@ -684,6 +731,19 @@ def element_bidegree(elem: Element) -> tuple[int, int] | None:
     if len(degs) == 1:
         return degs.pop()
     return None
+
+
+def _extend(elem: Element, image: Callable[[Monomial], Element]) -> Element:
+    """The linear extension of ``image`` (monomial -> element) at ``elem``."""
+    out: Element = {}
+    for mono, coeff in elem.items():
+        for m2, c2 in image(mono).items():
+            nc = out.get(m2, 0) + coeff * c2
+            if nc:
+                out[m2] = nc
+            elif m2 in out:
+                del out[m2]
+    return out
 
 
 def scale(elem: Element, c) -> Element:

@@ -505,3 +505,51 @@ class TestMixedDenominators:
         # some draws mix several witness denominators, have torsion
         # divisors and sets whose last elementary divisors differ
         assert (True, True, True) in seen
+
+
+def circuits_oracle(arr):
+    # every independent set times every column -> fundamental_circuit
+    found = set()
+    for ind in arr_mod.independent_sets(arr):
+        for e in range(arr.size):
+            circ = None if e in ind else arr_mod.fundamental_circuit(arr, e, ind)
+            if circ is not None:
+                found.add(circ)
+    return sorted(found)
+
+
+class TestCircuitsOnce:
+    """`circuits` finds each circuit once, against the full scan."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_braid(self, n):
+        assert arr_mod.circuits(braid_cols(n)) == circuits_oracle(braid_cols(n))
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    def test_worked_example(self, k):
+        arr = worked_example(k)
+        assert arr_mod.circuits(arr) == circuits_oracle(arr) == [(0, 1, 2)]
+
+    def test_mixed_denominators(self):
+        arr = TestMixedDenominators.MIXED
+        assert arr_mod.circuits(arr) == circuits_oracle(arr)
+
+    def test_random_inputs_with_parallel_columns(self):
+        rng = random.Random(27)
+        parallel = 0
+        for _ in range(200):
+            n = rng.randint(2, 4)
+            size, cols = rng.randint(3, 7), []
+            while len(cols) < size:
+                if cols and rng.random() < 0.25:
+                    col = rng.choice(cols)
+                    cols.append(tuple(-x for x in col) if rng.random() < 0.5
+                                else col)
+                    continue
+                col = tuple(rng.randint(-2, 2) for _ in range(n))
+                if gcd(*col) == 1:
+                    cols.append(col)
+            got = arr_mod.circuits(Arrangement(n, tuple(cols)))
+            assert got == circuits_oracle(Arrangement(n, tuple(cols)))
+            parallel += any(len(c) == 2 for c in got)
+        assert parallel > 50

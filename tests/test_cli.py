@@ -469,3 +469,48 @@ class TestSharedModel:
                             lambda cols: calls.append(1) or rank(cols))
         code, _ = run_cli(["--braid", "4", "--cmd", "rep-decompose"])
         assert code == 0 and calls == []
+
+
+def leibniz_sample_oracle(dga):
+    # rng.choice over the list of every basis monomial, in bidegree order
+    import random
+    rng = random.Random(2718281828)
+    monos = [m for (p, q) in dga.bidegrees() for m in dga.basis(p, q)]
+    return [(rng.choice(monos), rng.choice(monos))
+            for _ in range(min(len(monos) ** 2, 400))]
+
+
+class TestLeibnizSample:
+    """The verify-all sample drawn by index is the list-drawn one."""
+
+    @pytest.mark.parametrize("arr", [
+        braid.braid_arrangement(4),
+        arr_mod.Arrangement(2, ((1, 0), (1, 5), (2, 5))),
+        arr_mod.Arrangement(2, ((1, 0), (1, 2), (0, 1)),
+                            ((Fraction(1, 2), 0), (0, 0), (0, Fraction(1, 3)))),
+    ], ids=["braid4", "example-k5", "torsion"])
+    def test_same_pairs(self, arr):
+        from ellarr import cohomology
+        dga = cohomology.full_model(arr).core
+        got = cli._leibniz_sample(dga)
+        assert dga._basis == {}
+        assert len(got) == 400
+        assert got == leibniz_sample_oracle(dga)
+
+    def test_empty_model(self):
+        # every essential model holds the unit, so only a model without
+        # bidegrees has an empty sample: nothing is drawn
+        class Empty:
+            def bidegrees(self):
+                return []
+
+            def basis(self, p, q):
+                raise AssertionError
+
+            def monomials_at(self, positions):
+                assert positions == []
+                return []
+
+        assert cli._leibniz_sample(Empty()) == leibniz_sample_oracle(Empty()) == []
+        dga = braid.braid_model(3)
+        assert dga.monomials_at([]) == []
