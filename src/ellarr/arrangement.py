@@ -11,6 +11,9 @@ contain B is keyed by M and M's pairings with a point of B.  Lattice
 inclusion is read off a span table, the set of columns in the rational span
 of each distinct lattice.
 
+A set of divisors that the poset holds or looks up (a flat, a span, an
+independent or NBC set) is an int mask, bit i for column i.
+
 Inside the poset construction, witnesses and pairings are integer
 numerators: each set's over its own denominator, deduplicated by keys in
 lowest terms, then every layer's over one denominator for the whole
@@ -131,8 +134,9 @@ class Layer(Frozen):
     ``witness1``/``witness2`` are such a point.  Pairings and witnesses are
     Fractions in [0, 1) here; `build_poset` computes them as integer
     numerators over one common denominator and converts them once per layer.
-    Layers compare by identity: a poset holds one object per layer, and
-    ``key`` is the value to compare across posets.
+    ``flat`` is the mask of the divisors containing the layer.  Layers
+    compare by identity: a poset holds one object per layer, and ``key`` is
+    the value to compare across posets.
     """
 
     __slots__ = ("rank", "lattice", "t1", "t2", "witness1", "witness2",
@@ -141,7 +145,7 @@ class Layer(Frozen):
     def __init__(self, rank: int, lattice: tuple[tuple[int, ...], ...],
                  t1: tuple[Fraction, ...], t2: tuple[Fraction, ...],
                  witness1: tuple[Fraction, ...], witness2: tuple[Fraction, ...],
-                 flat: frozenset[int], index: int = -1):
+                 flat: int, index: int = -1):
         for name, value in zip(Layer.__slots__, (rank, lattice, t1, t2,
                                                  witness1, witness2, flat,
                                                  index)):
@@ -318,32 +322,37 @@ def components_of(arr: Arrangement, independent: Sequence[int]) -> list[Layer]:
     return layers
 
 
-def _mask(indices: Iterable[int]) -> int:
-    """The int bitmask of an index set: bit i stands for column i."""
+def mask_of(indices: Iterable[int]) -> int:
+    """The int mask of an index set: bit i stands for column i."""
     mask = 0
     for i in indices:
         mask |= 1 << i
     return mask
 
 
-def _span(arr: Arrangement, lattice) -> frozenset[int]:
-    """Columns in the rational span of a lattice's Hermite basis.
+def bits_of(mask: int) -> list[int]:
+    """The columns of a mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _span(arr: Arrangement, lattice) -> int:
+    """Mask of the columns in the rational span of a lattice's Hermite basis.
 
     A layer's lattice is the saturation of the columns in its span, so for
-    two layer lattices, M <= N exactly when span(M) <= span(N).
+    two layer lattices, M <= N exactly when span(M) & ~span(N) == 0.
     """
-    return frozenset(i for i, col in enumerate(arr.columns)
-                     if exactlin.in_row_span(lattice, col))
+    return mask_of(i for i, col in enumerate(arr.columns)
+                   if exactlin.in_row_span(lattice, col))
 
 
-def _flat_of(arr, span, den, offsets, w1, w2) -> frozenset[int]:
-    """Divisors containing the whole layer: in its lattice's span and
-    through one of its points.  The witnesses and ``offsets``
+def _flat_of(arr, span, den, offsets, w1, w2) -> int:
+    """Mask of the divisors containing the whole layer: in its lattice's
+    span and through one of its points.  The witnesses and ``offsets``
     (`_scaled_offsets`) are numerators over ``den``."""
     cols = arr.columns
-    return frozenset(i for i in span
-                     if (sum(map(mul, cols[i], w1)) % den,
-                         sum(map(mul, cols[i], w2)) % den) == offsets[i])
+    return mask_of(i for i in bits_of(span)
+                   if (sum(map(mul, cols[i], w1)) % den,
+                       sum(map(mul, cols[i], w2)) % den) == offsets[i])
 
 
 class LayerPoset:
@@ -359,16 +368,17 @@ class LayerPoset:
     each distinct lattice M of lower rank with span(M) <= span(b), at most
     one layer, the one keyed by M and b's pairings, lies below b.
 
-    ``assoc`` maps each independent set to the sorted indices of its
-    layers.  A set is keyed by its int bitmask (bit i stands for column i),
-    and equal index tuples are one shared object, so the map holds one int
-    per set and one tuple per distinct association; `layers_associated`
-    takes the set as indices.
+    Sets of divisors are int masks (bit i for column i): a layer's flat,
+    the span table and the keys of ``assoc``, which maps each independent
+    set to the sorted indices of its layers.  Equal index tuples are one
+    shared object, so the map holds one int per set and one tuple per
+    distinct association.  `layers_associated` and `component_inside`
+    take a set as its mask and look it up once.
     """
 
     def __init__(self, arr: Arrangement, layers: list[Layer],
                  assoc: dict[int, tuple[int, ...]],
-                 span: dict[tuple, frozenset[int]], den: int,
+                 span: dict[tuple, int], den: int,
                  points: list[tuple]):
         """``points[i]`` is layer i's (t1, t2, w1, w2) as integer
         numerators over ``den``."""
@@ -393,7 +403,7 @@ class LayerPoset:
             for lat in lattices:
                 if len(lat) >= b.rank:
                     break
-                if not span[lat] <= inner:
+                if span[lat] & ~inner:
                     continue
                 if at_origin:
                     key = zero_key[lat]
@@ -423,14 +433,15 @@ class LayerPoset:
                     out.append((a.index, b))
         return out
 
-    def layers_associated(self, indices) -> tuple[int, ...]:
-        """Sorted indices of the layers of an independent set, () when
-        the set is dependent."""
-        return self.assoc.get(_mask(indices), ())
+    def layers_associated(self, iset: int) -> tuple[int, ...]:
+        """Sorted indices of the layers of the independent set with mask
+        ``iset``, () when the set is dependent."""
+        return self.assoc.get(iset, ())
 
-    def component_inside(self, indices, inner: int) -> int | None:
-        """The layer associated to ``indices`` containing layer ``inner``."""
-        for lid in self.layers_associated(indices):
+    def component_inside(self, iset: int, inner: int) -> int | None:
+        """The layer associated to the set ``iset`` containing layer
+        ``inner``."""
+        for lid in self.assoc.get(iset, ()):
             if self.leq(lid, inner):
                 return lid
         return None
@@ -477,7 +488,7 @@ def build_poset(arr: Arrangement) -> LayerPoset:
             ids = interned.setdefault(ids, ids)
             if row_lattice is not None:
                 untwisted[row_lattice] = ids
-        assoc[_mask(ind)] = ids
+        assoc[mask_of(ind)] = ids
     den = lcm(*(comp[0] for comp in found))
     scaled = []
     for lid, (own, rank, lattice, *nums) in enumerate(found):
@@ -488,7 +499,7 @@ def build_poset(arr: Arrangement) -> LayerPoset:
     scaled.sort()       # distinct layers differ in (rank, lattice, t1, t2)
     position = [0] * len(found)
     offsets = _scaled_offsets(arr, den)
-    span: dict[tuple, frozenset[int]] = {}
+    span: dict[tuple, int] = {}
     memo: dict[int, Fraction] = {}
     layers = []
     points = []
@@ -552,8 +563,9 @@ def arrangement_rank(arr: Arrangement) -> int:
     return exactlin.rational_rank(arr.matrix())
 
 
-def nbc_sets(arr: Arrangement, layer: Layer) -> list[tuple[int, ...]]:
-    """Full-rank index sets associated to the layer with no broken circuit.
+def nbc_sets(arr: Arrangement, layer: Layer) -> list[int]:
+    """Masks of the full-rank sets associated to the layer with no broken
+    circuit.
 
     The matroid is the one of the divisors containing the layer, with the
     global column order.  A set s1 < ... < sk of that ground is NBC exactly
@@ -562,18 +574,19 @@ def nbc_sets(arr: Arrangement, layer: Layer) -> list[tuple[int, ...]]:
     ground elements are prepended in decreasing order with an integer
     echelon carried along, and a prefix is rejected when the new element
     lies in the span of the suffix, or some ground element below it lies in
-    the new span.  Output is in lexicographic order.
+    the new span.  Output is in the lexicographic order of the sorted sets.
     """
-    ground = sorted(layer.flat)
+    ground = bits_of(layer.flat)
     cols = [arr.columns[e] for e in ground]
     target = layer.rank
-    out: list[tuple[int, ...]] = []
+    out: list[int] = []
 
-    def extend(suffix: tuple[int, ...], rows, top: int):
-        if len(suffix) == target:
+    def extend(suffix: int, rows, top: int):
+        need = target - suffix.bit_count()
+        if not need:
             out.append(suffix)
             return
-        for pos in range(top - 1, target - len(suffix) - 2, -1):
+        for pos in range(top - 1, need - 2, -1):
             red = exactlin.echelon_reduce(rows, cols[pos])
             if red is None:
                 continue
@@ -581,10 +594,10 @@ def nbc_sets(arr: Arrangement, layer: Layer) -> list[tuple[int, ...]]:
             if any(exactlin.echelon_reduce(grown, cols[e]) is None
                    for e in range(pos)):
                 continue
-            extend((ground[pos],) + suffix, grown, pos)
+            extend(suffix | 1 << ground[pos], grown, pos)
 
-    extend((), [], len(ground))
-    out.sort()
+    extend(0, [], len(ground))
+    out.sort(key=bits_of)
     return out
 
 

@@ -272,11 +272,11 @@ def cmd_verify_all(arr, graph, args, model) -> dict:
 
     circ_ok = True
     for circuit in arr_mod.circuits(dga.arrangement):
-        for lid in _circuit_components(dga, circuit):
+        members = arr_mod.mask_of(circuit)
+        for lid in _circuit_components(dga, members):
             total = {}
             for t, i in enumerate(circuit):
-                rest = tuple(x for x in circuit if x != i)
-                term = dga.omega(lid, rest)
+                term = dga.omega(lid, members ^ 1 << i)
                 total = add(total, scale(term, (-1) ** t))
             if total:
                 circ_ok = False
@@ -357,11 +357,11 @@ def _leibniz_sample(dga: BigradedDGA) -> list[tuple]:
     return list(zip(monos[::2], monos[1::2]))
 
 
-def _circuit_components(dga: BigradedDGA, circuit) -> list[int]:
-    sub_iset = tuple(sorted(circuit))[1:]
-    members = set(circuit)
-    return [lid for lid in dga.poset.layers_associated(sub_iset)
-            if members <= dga.poset.layers[lid].flat]
+def _circuit_components(dga: BigradedDGA, members: int) -> list[int]:
+    """The layers of the circuit ``members`` (a mask) minus its smallest
+    column whose flat holds the whole circuit."""
+    return [lid for lid in dga.poset.layers_associated(members & (members - 1))
+            if not members & ~dga.poset.layers[lid].flat]
 
 
 COMMANDS = {

@@ -6,13 +6,15 @@ the coframe chosen for L.  The differential has bidegree (2,-1); products
 are straightened back to this basis through the circuit relations and the
 per-layer reduction maps.
 
-A monomial is a tuple (layer_id, iset, mask): iset is a sorted tuple of
-divisor indices and mask an int with bit 2*col + kind per one-form symbol,
-kind 0 for the x-side and 1 for the y-side of the curve, so ascending bits
-are the sorted symbol order.  Elements are sparse dicts monomial -> int or
-Fraction.
+A monomial is a tuple (layer_id, iset, mask) of ints: iset is the mask of
+the NBC set's divisors, bit i for column i, and mask has bit 2*col + kind
+per one-form symbol, kind 0 for the x-side and 1 for the y-side of the
+curve, so in both ascending bits are the sorted order.  Elements are
+sparse dicts monomial -> int or Fraction.
 
-Wedging a symbol onto the right of a mask passes it over the mask's higher
+The generators w_{L,I} and the one-form symbols are both odd, so one sign
+rule, `mask_sign`, orders products of index sets and of symbols alike:
+wedging a factor onto the right of a mask passes it over the mask's higher
 bits, so the sign is the parity of their popcount.  A mask reduces into a
 layer's coframe symbol by symbol; when it already lies in the layer's frame
 bits (two per coframe column) the form is the mask itself, since a coframe
@@ -55,40 +57,14 @@ from . import arrangement as arr_mod
 from . import exactlin
 from .arrangement import Arrangement, LayerPoset
 
-Monomial = tuple[int, tuple[int, ...], int]
+Monomial = tuple[int, int, int]
 Element = dict[Monomial, int | Fraction]
 
 
-def merge_sign(left: Sequence, right: Sequence):
-    """Merge two sorted index sets of distinct odd-degree factors.
-
-    Returns (sign, merged tuple) or (0, None) if they share an entry.
-    """
-    out = []
-    i = j = 0
-    sign = 1
-    nl = len(left)
-    while i < nl and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
-            return 0, None
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-            if (nl - i) & 1:
-                sign = -sign
-    out.extend(left[i:])
-    out.extend(right[j:])
-    return sign, tuple(out)
-
-
 def mask_sign(left: int, right: int) -> int:
-    """Sign of sorting the symbols of ``left`` followed by those of
-    ``right``, or 0 when they share one: each symbol of ``right`` passes
-    the symbols of ``left`` above it."""
+    """Sign of sorting the odd factors of ``left`` followed by those of
+    ``right`` (symbols or divisors), or 0 when they share one: each factor
+    of ``right`` passes the factors of ``left`` above it."""
     if left & right:
         return 0
     passes = 0
@@ -129,7 +105,7 @@ class BigradedDGA:
         self.arrangement = arrangement
         self.n = arrangement.n
         self.poset = poset if poset is not None else arr_mod.build_poset(arrangement)
-        self._nbc: dict[tuple[frozenset, int], list[tuple[int, ...]]] = {}
+        self._nbc: dict[tuple[int, int], list[int]] = {}
         self._coframe: dict[int, tuple[int, ...]] = {}
         self._flat_basis: dict[int, list[int]] = {}
         self._reduction: dict[int, tuple[int, list[list[int]]]] = {}
@@ -138,15 +114,16 @@ class BigradedDGA:
         self._xy: dict[tuple[int, int], tuple] = {}
         self._basis: dict[tuple[int, int], list[Monomial]] = {}
         self._index: dict[tuple[int, int], dict[Monomial, int]] = {}
-        self._straight: dict[tuple[frozenset, tuple[int, ...]], dict] = {}
+        self._straight: dict[tuple[int, int], dict] = {}
         self._d_cache: dict[Monomial, Element] = {}
         self._ranks: dict[tuple[int, int], dict[int, int]] = {}
-        self._section_count: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._section_count: dict[tuple[int, int], int] = {}
 
     # ----- per-layer data ---------------------------------------------
 
-    def nbc(self, layer_id: int) -> list[tuple[int, ...]]:
-        """The layer's NBC sets, shared by layers with one flat and rank."""
+    def nbc(self, layer_id: int) -> list[int]:
+        """The masks of the layer's NBC sets, shared by layers with one
+        flat and rank."""
         layer = self.poset.layers[layer_id]
         key = (layer.flat, layer.rank)
         got = self._nbc.get(key)
@@ -169,7 +146,7 @@ class BigradedDGA:
         columns = self.arrangement.columns
         rows: list = []
         kept: list[int] = []
-        for j in sorted(layer.flat):
+        for j in arr_mod.bits_of(layer.flat):
             red = exactlin.echelon_reduce(rows, columns[j])
             if red is not None:
                 kept.append(j)
@@ -345,7 +322,7 @@ class BigradedDGA:
 
     @staticmethod
     def bidegree_of(mono: Monomial) -> tuple[int, int]:
-        return (mono[2].bit_count(), len(mono[1]))
+        return (mono[2].bit_count(), mono[1].bit_count())
 
     @staticmethod
     def weight_of(mono: Monomial) -> int:
@@ -353,38 +330,40 @@ class BigradedDGA:
 
     # ----- straightening ------------------------------------------------
 
-    def straighten(self, layer_id: int, iset: tuple[int, ...]) -> dict:
-        """Expand w_{L, iset} over the no-broken-circuit sets of the layer.
+    def straighten(self, layer_id: int, iset: int) -> dict:
+        """Expand w_{L, iset} over the no-broken-circuit sets of the layer,
+        as {NBC set mask: coeff}.
 
-        Repeatedly rewrites through the circuit relation at the
-        lexicographically largest broken circuit present; each rewrite swaps
-        a member for the smaller circuit minimum, so the index set strictly
-        decreases and the recursion terminates.
+        Repeatedly rewrites through the circuit relation at the broken
+        circuit with the largest mask present; each rewrite swaps a member
+        for the smaller circuit minimum, so the sorted index set strictly
+        decreases lexicographically and the recursion terminates.
         """
-        layer = self.poset.layers[layer_id]
-        key = (layer.flat, iset)
+        flat = self.poset.layers[layer_id].flat
+        key = (flat, iset)
         got = self._straight.get(key)
         if got is not None:
             return got
-        ground = sorted(layer.flat)
+        ground = arr_mod.bits_of(flat)
 
-        def broken(chain: tuple[int, ...]):
+        def broken(chain: int):
             best = None
+            top = chain.bit_length() - 1
             for e in ground:
-                if e >= chain[-1]:
+                if e >= top:
                     break
-                if e in chain:
+                if chain >> e & 1:
                     continue
                 circ = arr_mod.fundamental_circuit(
-                    self.arrangement, e, [i for i in chain if i > e])
+                    self.arrangement, e, arr_mod.bits_of(chain >> e << e))
                 if circ is not None:
-                    bc = tuple(sorted(set(circ) - {e}))
+                    bc = arr_mod.mask_of(circ) ^ 1 << e
                     if best is None or bc > best[1]:
                         best = (circ, bc)
             return best
 
-        def expand(chain: tuple[int, ...]) -> dict:
-            got = self._straight.get((layer.flat, chain))
+        def expand(chain: int) -> dict:
+            got = self._straight.get((flat, chain))
             if got is not None:
                 return got
             hit = broken(chain)
@@ -392,18 +371,18 @@ class BigradedDGA:
                 result = {chain: 1}
             else:
                 circ, bc = hit
-                rest = tuple(i for i in chain if i not in bc)
-                sign_front, _ = merge_sign(bc, rest)
+                rest = chain ^ bc
+                sign_front = mask_sign(bc, rest)
+                whole = bc | 1 << circ[0]
                 result: dict = {}
-                cs = list(circ)
-                for t in range(1, len(cs)):
+                for t in range(1, len(circ)):
                     # circuit relation solved for the broken-circuit term
-                    repl = tuple(cs[:t] + cs[t + 1:])
+                    repl = whole ^ 1 << circ[t]
                     sgn = -1 if t % 2 == 0 else 1
-                    sign_back, merged = merge_sign(repl, rest)
+                    sign_back = mask_sign(repl, rest)
                     if sign_back == 0:
                         continue
-                    sub = expand(merged)
+                    sub = expand(repl | rest)
                     f = sign_front * sgn * sign_back
                     for k, c in sub.items():
                         nc = result.get(k, 0) + f * c
@@ -411,7 +390,7 @@ class BigradedDGA:
                             result[k] = nc
                         elif k in result:
                             del result[k]
-            self._straight[(layer.flat, chain)] = result
+            self._straight[(flat, chain)] = result
             return result
 
         return expand(iset)
@@ -438,7 +417,7 @@ class BigradedDGA:
                 out[(sub, rest, t)] = c
         return out
 
-    def _kernel_terms(self, lid: int, iset: tuple[int, ...]) -> list:
+    def _kernel_terms(self, lid: int, iset: int) -> list:
         """The terms of d on w_{L, iset}: (sub, rest, coeff, xy) per divisor.
 
         They do not depend on the symbols: ``ranks`` builds them once per
@@ -454,21 +433,22 @@ class BigradedDGA:
         coefficients stay ints).
         """
         terms = []
-        for pos, j in enumerate(iset):
-            rest = iset[:pos] + iset[pos + 1:]
+        for pos, j in enumerate(arr_mod.bits_of(iset)):
+            rest = iset ^ 1 << j
             sub = self.poset.component_inside(rest, lid)
             if sub is None:
-                raise ModelError("no layer for %s over layer %d" % (rest, lid))
+                raise ModelError("no layer for %s over layer %d"
+                                 % (arr_mod.bits_of(rest), lid))
             xy = self._xy_terms(sub, j)
             if not xy:
                 continue
             ncomp = self._section_components(sub, iset)
             coeff = 1 if ncomp == 1 else Fraction(1, ncomp)
-            # pos = |{k in rest : k < j}| since iset is sorted
+            # pos = |{k in rest : k < j}| since the bits ascend
             terms.append((sub, rest, coeff if pos % 2 == 0 else -coeff, xy))
         return terms
 
-    def _section_components(self, outer: int, iset: tuple[int, ...]) -> int:
+    def _section_components(self, outer: int, iset: int) -> int:
         key = (outer, iset)
         got = self._section_count.get(key)
         if got is None:
@@ -535,7 +515,7 @@ class BigradedDGA:
         out: dict[int, int] = {}
         if q >= 1 and self.dim(p, q) and self.dim(p + 2, q - 1):
             width = comb(2 * (self.n - q + 1), p + 2)
-            offset: dict[tuple[int, tuple[int, ...]], int] = {}
+            offset: dict[tuple[int, int], int] = {}
             for lid in self.poset.by_rank[q - 1]:
                 for iset in self.nbc(lid):
                     offset[(lid, iset)] = len(offset) * width
@@ -580,15 +560,14 @@ class BigradedDGA:
     def multiply_monomials(self, m1: Monomial, m2: Monomial) -> Element:
         l1, i1, mask1 = m1
         l2, i2, mask2 = m2
-        if mask1 & mask2 or set(i1) & set(i2):
+        if mask1 & mask2 or i1 & i2:
             return {}
-        union = tuple(sorted(i1 + i2))
+        union = i1 | i2
         targets = self.poset.layers_associated(union)
         if not targets:
             return {}
-        sigma, _ = merge_sign(i1, i2)
-        koszul = -1 if (mask2.bit_count() * len(i1)) % 2 else 1
-        base = sigma * koszul * mask_sign(mask1, mask2)
+        koszul = -1 if (mask2.bit_count() * i1.bit_count()) % 2 else 1
+        base = mask_sign(i1, i2) * koszul * mask_sign(mask1, mask2)
         out: Element = {}
         for lid in targets:
             if not (self.poset.leq(l1, lid) and self.poset.leq(l2, lid)):
@@ -626,7 +605,7 @@ class BigradedDGA:
         return self.poset.by_rank[0][0]
 
     def unit(self) -> Element:
-        return {(self.ambient_layer, (), 0): 1}
+        return {(self.ambient_layer, 0, 0): 1}
 
     def one_form(self, xvec: Sequence, yvec: Sequence) -> Element:
         """Degree-(1,0) element with ambient x/y coefficient vectors."""
@@ -644,7 +623,7 @@ class BigradedDGA:
             cofr = self.coframe(amb)
             for u in range(len(cofr)):
                 if lam[u]:
-                    key = (amb, (), 1 << (2 * cofr[u] + kind))
+                    key = (amb, 0, 1 << (2 * cofr[u] + kind))
                     out[key] = out.get(key, 0) + lam[u]
         return {k: v for k, v in out.items() if v}
 
@@ -655,13 +634,13 @@ class BigradedDGA:
             return self.one_form(vec, None)
         return self.one_form(None, vec)
 
-    def omega(self, layer_id: int, iset: Sequence[int]) -> Element:
-        """Generator w_{L,I}, straightened to the basis."""
-        iset = tuple(sorted(iset))
+    def omega(self, layer_id: int, iset: int) -> Element:
+        """Generator w_{L,I} for the index set mask ``iset``, straightened
+        to the basis."""
         layer = self.poset.layers[layer_id]
-        if len(iset) != layer.rank:
+        if iset.bit_count() != layer.rank:
             raise ModelError("index set size must match the layer rank")
-        if not set(iset) <= layer.flat:
+        if iset & ~layer.flat:
             raise ModelError("index set must consist of divisors containing the layer")
         return {(layer_id, k, 0): c for k, c in self.straighten(layer_id, iset).items()}
 
@@ -669,8 +648,8 @@ class BigradedDGA:
         """Sum over components of omega for a single divisor; for a connected
         divisor this is the single generator of the rank-1 layer."""
         out: Element = {}
-        for lid in self.poset.layers_associated((col,)):
-            out[(lid, (col,), 0)] = 1
+        for lid in self.poset.layers_associated(1 << col):
+            out[(lid, 1 << col, 0)] = 1
         return out
 
     # ----- audits ---------------------------------------------------------
@@ -727,7 +706,7 @@ def hodge_weight(p: int, q: int) -> int:
 
 
 def element_bidegree(elem: Element) -> tuple[int, int] | None:
-    degs = {(m[2].bit_count(), len(m[1])) for m in elem}
+    degs = {(m[2].bit_count(), m[1].bit_count()) for m in elem}
     if len(degs) == 1:
         return degs.pop()
     return None
@@ -818,7 +797,7 @@ class TensorModel:
     @staticmethod
     def bidegree_of(mono) -> tuple[int, int]:
         core_m, bars = mono
-        return (core_m[2].bit_count() + bars.bit_count(), len(core_m[1]))
+        return (core_m[2].bit_count() + bars.bit_count(), core_m[1].bit_count())
 
     @staticmethod
     def weight_of(mono) -> int:
@@ -852,7 +831,7 @@ class TensorModel:
                 if sign_bars == 0:
                     continue
                 # bars of e1 move across the core part of e2
-                deg_m2 = m2[2].bit_count() + len(m2[1])
+                deg_m2 = m2[2].bit_count() + m2[1].bit_count()
                 sign = sign_bars * (-1 if (deg1_bar * deg_m2) % 2 else 1)
                 cc = c1 * c2 * sign
                 for m, c in self.core.multiply_monomials(m1, m2).items():

@@ -30,6 +30,16 @@ IDS = (["braid%d" % n for n in (3, 4, 5, 6)]
        + ["example-k%d" % k for k in (1, 3, 5, 9)] + ["torsion"])
 
 
+def index_mask(indices):
+    """An index set as the int mask the model uses: bit i for column i."""
+    return sum(1 << i for i in indices)
+
+
+def index_tuple(mask):
+    """The columns of an index set mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def nbc_oracle(arr, layer):
     # prefix growth in increasing order, pruned by dense subset ranks
     def rank(idx):
@@ -38,7 +48,7 @@ def nbc_oracle(arr, layer):
     def in_closure(e, idx):
         return rank(set(idx) | {e}) == rank(idx)
 
-    ground = sorted(layer.flat)
+    ground = index_tuple(layer.flat)
     out = []
 
     def extend(iset):
@@ -72,7 +82,7 @@ def circuit_oracle(arr, e, independent):
 
 def coordinate_oracle_rows(dga, layer_id):
     # coframe rows of a Fraction particular solution over every flat column
-    flat = sorted(dga.poset.layers[layer_id].flat)
+    flat = list(index_tuple(dga.poset.layers[layer_id].flat))
     cols = flat + list(dga.coframe(layer_id))
     mat = [[dga.arrangement.columns[j][i] for j in cols] for i in range(dga.n)]
     return exactlin.solve_linear(mat, exactlin.identity(dga.n))[len(flat):]
@@ -85,7 +95,8 @@ def apply_rows(rows, vec):
 def assert_nbc_matches(arr):
     poset = arr_mod.build_poset(arr)
     for layer in poset.layers:
-        assert arr_mod.nbc_sets(arr, layer) == nbc_oracle(arr, layer), layer.index
+        assert arr_mod.nbc_sets(arr, layer) == [
+            index_mask(s) for s in nbc_oracle(arr, layer)], layer.index
 
 
 def assert_circuits_match(arr):

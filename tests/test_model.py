@@ -7,9 +7,19 @@ from ellarr import arrangement as arr_mod
 from ellarr import braid, cohomology, exactlin
 from ellarr.arrangement import Arrangement
 from ellarr.model import (BigradedDGA, ModelError, TensorModel, _lex_ranks,
-                          add, scale, sub, merge_sign)
+                          add, mask_sign, scale, sub)
 
 ONE = Fraction(1)
+
+
+def index_mask(indices):
+    """An index set as the int mask the model uses: bit i for column i."""
+    return sum(1 << i for i in indices)
+
+
+def index_tuple(mask):
+    """The columns of an index set mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def all_monomials(dga):
@@ -59,9 +69,10 @@ class TestModuleApi:
 
 class TestSignHelpers:
     def test_merge_sign_disjoint(self):
-        assert merge_sign((1, 3), (2,)) == (-1, (1, 2, 3))
-        assert merge_sign((), (5,)) == (1, (5,))
-        assert merge_sign((1,), (1,)) == (0, None)
+        # merging index sets: mask_sign signs them as it signs symbols
+        assert mask_sign(index_mask((1, 3)), index_mask((2,))) == -1
+        assert mask_sign(index_mask(()), index_mask((5,))) == 1
+        assert mask_sign(index_mask((1,)), index_mask((1,))) == 0
 
 
 class TestCoframe:
@@ -74,7 +85,7 @@ class TestCoframe:
             layer = poset.layers[lid]
             j = example_model.coframe(lid)
             assert len(j) == 1
-            if layer.flat == frozenset({0}):
+            if layer.flat == index_mask({0}):
                 assert j == (1,)   # first column not containing the layer
 
     def test_top_layer_empty(self, braid3):
@@ -93,7 +104,7 @@ class TestCoframe:
         dga = request.getfixturevalue(fixture)
         columns = dga.arrangement.columns
         for lid, layer in enumerate(dga.poset.layers):
-            rows = [columns[j] for j in sorted(layer.flat)]
+            rows = [columns[j] for j in index_tuple(layer.flat)]
             chosen = []
             for j in range(dga.arrangement.size):
                 if len(chosen) == dga.n - layer.rank:
@@ -177,7 +188,7 @@ class TestDifferential:
         # divisors 0 and 1 meet in four points: d of each w_{L,(0,1)}
         # carries the exact 1/#components factor
         images = [offset_model.d_monomial(m) for m in offset_model.basis(0, 2)
-                  if m[1] == (0, 1)]
+                  if m[1] == index_mask((0, 1))]
         assert len(images) == 4
         assert all(abs(c) == Fraction(1, 4)
                    for image in images for c in image.values())
@@ -302,17 +313,40 @@ class TestAxioms:
         dga = request.getfixturevalue(fixture)
         arr = dga.arrangement
         for circuit in arr_mod.circuits(arr):
-            members = set(circuit)
-            sub_iset = tuple(sorted(circuit))[1:]
+            members = index_mask(circuit)
+            sub_iset = index_mask(tuple(sorted(circuit))[1:])
             comps = [lid for lid in dga.poset.layers_associated(sub_iset)
-                     if members <= dga.poset.layers[lid].flat]
+                     if not members & ~dga.poset.layers[lid].flat]
             assert comps
             for lid in comps:
                 total = {}
                 for t, i in enumerate(sorted(circuit)):
-                    rest = tuple(x for x in sorted(circuit) if x != i)
+                    rest = index_mask(x for x in sorted(circuit) if x != i)
                     total = add(total, scale(dga.omega(lid, rest), (-1) ** t))
                 assert not total
+
+
+class TestOmega:
+    """``omega`` takes the index set as a mask and checks it."""
+
+    def test_wrong_size(self, braid3):
+        top = braid3.poset.by_rank[2][0]
+        for iset in (0b1, 0b111):
+            with pytest.raises(ModelError, match="size"):
+                braid3.omega(top, iset)
+
+    def test_outside_flat(self, braid3):
+        for lid in braid3.poset.by_rank[1]:
+            flat = braid3.poset.layers[lid].flat
+            outside = 0b111 & ~flat
+            assert outside
+            with pytest.raises(ModelError, match="containing"):
+                braid3.omega(lid, outside & -outside)
+
+    def test_basis_generator(self, braid3):
+        top = braid3.poset.by_rank[2][0]
+        assert braid3.nbc(top) == [0b011, 0b101]
+        assert braid3.omega(top, 0b11) == {(top, 0b11, 0): 1}
 
 
 class TestTensorModel:
@@ -472,6 +506,20 @@ class TestMonomialEncoding:
             for mono in basis:
                 assert dga.bidegree_of(mono) == (p, q)
                 assert dga.weight_of(mono) == bit_weight(mono[2])
+
+    @pytest.mark.parametrize("name", ["braid4", "torsion", "worked-k5"])
+    def test_index_sets(self, name):
+        dga = cohomology.full_model(ENCODING_INPUTS[name]).core
+        for layer in dga.poset.layers:
+            assert type(layer.flat) is int
+            nbc = dga.nbc(layer.index)
+            # masks in the lexicographic order of the sorted index tuples
+            assert nbc == [index_mask(t)
+                           for t in sorted(index_tuple(m) for m in nbc)]
+        for p, q in dga.bidegrees():
+            for lid, iset, _ in dga.basis(p, q):
+                assert type(iset) is int and iset.bit_count() == q
+                assert not iset & ~dga.poset.layers[lid].flat
 
     @pytest.mark.parametrize("name", sorted(ENCODING_INPUTS))
     def test_tensor_basis(self, name):
